@@ -29,7 +29,7 @@ from .nmf import (
     update_w,
 )
 from .onmf import OnmfModel, encode_sample, factorize_onmf
-from .semi_binary import SemiBinaryModel, factorize_zhang, sgn, update_h_row
+from .semi_binary import SemiBinaryModel, factorize_zhang, update_h_row
 
 __all__ = [
     "BinaryAssignment",
@@ -60,7 +60,6 @@ __all__ = [
     "init_w",
     "load_dataset",
     "save_dataset",
-    "sgn",
     "train_test_split",
     "update_h_cosine",
     "update_h_dense",

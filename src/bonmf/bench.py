@@ -31,7 +31,7 @@ from .classify import (
     classify_coefficient_argmax,
 )
 from .data_io import DatasetSpec, load_dataset, train_test_split
-from .nmf import FactorizationTrace, FactorizeOptions, factorize_nmf
+from .nmf import FactorizeOptions, factorize_nmf
 from .onmf import factorize_onmf
 from .semi_binary import factorize_zhang
 

@@ -13,18 +13,13 @@ from __future__ import annotations
 import base64
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
-from .matrices import (
-    BinaryAssignment,
-    DegenerateModelError,
-    as_data_matrix,
-    frobenius_objective,
-)
-from .nmf import FactorizationTrace, FactorizeOptions, _converged, update_w
+from .matrices import BinaryAssignment, DegenerateModelError, as_data_matrix
+from .nmf import FactorizationTrace, FactorizeOptions, _alternate
 
 # Columns per similarity block in the fused H update. Intermediate storage
 # is k * H_UPDATE_BLOCK_COLS floats regardless of n.
@@ -60,14 +55,21 @@ class BonmfModel:
         with open(path) as fh:
             payload = json.load(fh)
         m, k = payload["m"], payload["k"]
-        W = np.frombuffer(
-            base64.b64decode(payload["basis_b64"]), dtype=np.float64
-        ).reshape(m, k)
+        raw = base64.b64decode(payload["basis_b64"])
+        if len(raw) != 8 * m * k:
+            raise ValueError(
+                f"basis_b64 holds {len(raw)} bytes, expected 8*m*k = {8 * m * k}"
+            )
+        cluster_labels = payload["cluster_labels"]
+        if cluster_labels is not None and len(cluster_labels) != k:
+            raise ValueError(
+                f"cluster_labels has {len(cluster_labels)} entries, expected k = {k}"
+            )
         return cls(
-            basis=W.copy(),
+            basis=np.frombuffer(raw, dtype=np.float64).reshape(m, k).copy(),
             assignments=BinaryAssignment(np.array(payload["assignments"]), k),
             trace=FactorizationTrace(),
-            cluster_labels=payload["cluster_labels"],
+            cluster_labels=cluster_labels,
         )
 
 
@@ -172,25 +174,16 @@ def factorize_bonmf(
 
 def _factorize_once(X, k, opts, seed, on_iteration) -> BonmfModel:
     trace = FactorizationTrace()
-    W = init_w(X, k, seed)
-    assign = init_h(W, X, trace.notes)
 
-    prev_obj = None
-    for it in range(opts.max_iterations):
-        W = update_w(X, W, assign, opts.epsilon_guard)
-        new_assign = update_h_cosine(X, W, trace.notes)
-        obj = frobenius_objective(X, W, new_assign)
-        trace.objective_per_iteration.append(obj)
-        trace.iterations_run += 1
-        if on_iteration is not None:
-            on_iteration(it, W, new_assign)
-        stable = bool(np.array_equal(new_assign.labels, assign.labels))
-        assign = new_assign
-        if (
-            stable
-            and prev_obj is not None
-            and _converged(prev_obj, obj, opts.tolerance)
-        ):
-            break
-        prev_obj = obj
+    def start():
+        W = init_w(X, k, seed)
+        return W, init_h(W, X, trace.notes)
+
+    def cosine_step(W, _):
+        # X is fixed, so the first cosine assignment (init_h's fallback or
+        # the first H step) has already noted every zero-norm column
+        noted = any(note.startswith("zero_norm_sample_column:") for note in trace.notes)
+        return update_h_cosine(X, W, None if noted else trace.notes)
+
+    W, assign = _alternate(X, start, cosine_step, opts, trace, on_iteration, stable_h=True)
     return BonmfModel(basis=W, assignments=assign, trace=trace)

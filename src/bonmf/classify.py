@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import BinaryAssignment, cosine_similarity
+from .matrices import BinaryAssignment
 from .onmf import encode_sample
 
 # instrumentation: number of cosine evaluations issued by classify_bonmf
@@ -78,21 +78,8 @@ def classify_bonmf(x, model) -> int:
     if model.cluster_labels is None:
         raise ValueError("model has no cluster label map; run build_label_map first")
     x = np.asarray(x, dtype=np.float64).ravel()
-    W = model.basis
-    k = W.shape[1]
-    if np.linalg.norm(x) == 0.0:
-        return int(model.cluster_labels[0])
-    best, best_sim = 0, -np.inf
-    for j in range(k):
-        wj = W[:, j]
-        if np.linalg.norm(wj) == 0.0:
-            sim = -np.inf
-        else:
-            sim = cosine_similarity(x, wj)
-        _similarity_evaluations += 1
-        if sim > best_sim:
-            best, best_sim = j, sim
-    return int(model.cluster_labels[best])
+    _similarity_evaluations += model.basis.shape[1]
+    return int(model.cluster_labels[_best_cosine_index(x, model.basis)])
 
 
 def _coefficient_clusters(model) -> np.ndarray:

@@ -6,7 +6,7 @@ samples), so per-column slicing is the hot path. All arrays are float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,14 @@ class DegenerateModelError(RuntimeError):
 
 
 def as_data_matrix(X) -> np.ndarray:
-    """Validate and return X as a float64 2-d non-negative array."""
+    """Validate and return X as a float64 2-d finite non-negative array."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"data matrix must be 2-d, got ndim={X.ndim}")
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"data matrix must be non-empty, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("data matrix has NaN or infinite entries")
     if np.any(X < 0):
         raise ValueError("data matrix has negative entries; NMF requires X >= 0")
     return X

@@ -96,6 +96,38 @@ def _converged(prev: float, cur: float, tolerance: float) -> bool:
     return abs(cur - prev) / max(prev, np.finfo(float).tiny) < tolerance
 
 
+def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False):
+    """The alternation every factorizer runs; returns the final (W, H).
+
+    `start()` gives the initial (W, H). Each iteration applies the
+    multiplicative W update and `h_step(W, H)`, records the objective in
+    `trace` and calls `on_iteration(iteration, W, H)` if given. It stops at
+    opts.max_iterations or when the relative objective change is below
+    opts.tolerance and, with `stable_h`, H is unchanged. update_w,
+    frobenius_objective and the H step are looked up at call time.
+    """
+    t0 = time.perf_counter()
+    W, H = start()
+    prev = None
+    for it in range(opts.max_iterations):
+        W = update_w(X, W, H, opts.epsilon_guard)
+        H_new = h_step(W, H)
+        stable = not stable_h or np.array_equal(
+            getattr(H_new, "labels", H_new), getattr(H, "labels", H)
+        )
+        H = H_new  # free the previous H before the objective's m x n temporaries
+        obj = frobenius_objective(X, W, H)
+        trace.objective_per_iteration.append(obj)
+        trace.iterations_run += 1
+        if on_iteration is not None:
+            on_iteration(it, W, H)
+        if stable and prev is not None and _converged(prev, obj, opts.tolerance):
+            break
+        prev = obj
+    trace.wall_time_train = time.perf_counter() - t0
+    return W, H
+
+
 def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
     """Alternating Lee-Seung factorization X ~ W H with both factors real.
 
@@ -113,25 +145,17 @@ def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
 
         warnings.warn(f"rank k={k} exceeds min(m, n)={min(m, n)}", stacklevel=2)
 
-    t0 = time.perf_counter()
-    W = init_w(X, k, opts.seed)
     trace = FactorizationTrace()
-    try:
-        H = np.maximum(init_h_real(W, X), 0.0)
-    except np.linalg.LinAlgError:
-        rng = np.random.default_rng(opts.seed)
-        H = rng.random((k, n))
-        trace.notes.append("init_h_fallback_random")
 
-    prev = None
-    for _ in range(opts.max_iterations):
-        W = update_w(X, W, H, opts.epsilon_guard)
-        H = update_h_dense(X, W, H, opts.epsilon_guard)
-        obj = frobenius_objective(X, W, H)
-        trace.objective_per_iteration.append(obj)
-        trace.iterations_run += 1
-        if prev is not None and _converged(prev, obj, opts.tolerance):
-            break
-        prev = obj
-    trace.wall_time_train = time.perf_counter() - t0
+    def start():
+        W = init_w(X, k, opts.seed)
+        try:
+            return W, np.maximum(init_h_real(W, X), 0.0)
+        except np.linalg.LinAlgError:
+            trace.notes.append("init_h_fallback_random")
+            return W, np.random.default_rng(opts.seed).random((k, n))
+
+    W, H = _alternate(
+        X, start, lambda W, H: update_h_dense(X, W, H, opts.epsilon_guard), opts, trace
+    )
     return NmfModel(basis=W, coefficients=H, trace=trace)

@@ -14,14 +14,13 @@ iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
-from .matrices import as_data_matrix, frobenius_objective
-from .nmf import FactorizationTrace, FactorizeOptions, _converged, update_w
+from .matrices import as_data_matrix
+from .nmf import FactorizationTrace, FactorizeOptions, _alternate
 
 
 @dataclass
@@ -53,34 +52,28 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    t0 = time.perf_counter()
     trace = FactorizationTrace()
-    W = init_w(X, k, opts.seed)
-    try:
-        H0 = init_h_real(W, X)
-        # strictly positive start: the sqrt-ratio rule cannot revive zeros
-        H = np.maximum(H0, 1e-3 * max(np.abs(H0).max(), 1.0))
-    except SingularInitError:
-        rng = np.random.default_rng(opts.seed)
-        H = rng.random((k, X.shape[1])) + 0.1
-        trace.notes.append("init_h_fallback_random")
+    residuals = []
 
-    model = OnmfModel(basis=W, coefficients=H, trace=trace)
-    prev_obj = None
-    for _ in range(opts.max_iterations):
-        W = update_w(X, W, H, opts.epsilon_guard)
-        H = update_h_orthogonal(X, W, H, opts.epsilon_guard)
-        obj = frobenius_objective(X, W, H)
-        trace.objective_per_iteration.append(obj)
-        trace.iterations_run += 1
-        model.orthogonality_residual.append(orthogonality_residual(H))
-        if prev_obj is not None and _converged(prev_obj, obj, opts.tolerance):
-            break
-        prev_obj = obj
-    trace.wall_time_train = time.perf_counter() - t0
-    model.basis = W
-    model.coefficients = H
-    return model
+    def start():
+        W = init_w(X, k, opts.seed)
+        try:
+            H0 = init_h_real(W, X)
+            # strictly positive start: the sqrt-ratio rule cannot revive zeros
+            return W, np.maximum(H0, 1e-3 * max(np.abs(H0).max(), 1.0))
+        except SingularInitError:
+            trace.notes.append("init_h_fallback_random")
+            return W, np.random.default_rng(opts.seed).random((k, X.shape[1])) + 0.1
+
+    W, H = _alternate(
+        X,
+        start,
+        lambda W, H: update_h_orthogonal(X, W, H, opts.epsilon_guard),
+        opts,
+        trace,
+        lambda it, W, H: residuals.append(orthogonality_residual(H)),
+    )
+    return OnmfModel(basis=W, coefficients=H, trace=trace, orthogonality_residual=residuals)
 
 
 def encode_sample(x, W, inner_iterations: int = 50, epsilon_guard: float = 1e-10):

@@ -7,14 +7,13 @@ matching basis column against the rest of the factorization.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
-from .matrices import as_data_matrix, frobenius_objective
-from .nmf import FactorizationTrace, FactorizeOptions, _converged, update_w
+from .matrices import as_data_matrix
+from .nmf import FactorizationTrace, FactorizeOptions, _alternate
 
 
 @dataclass
@@ -22,11 +21,6 @@ class SemiBinaryModel:
     basis: np.ndarray
     coefficients: np.ndarray
     trace: FactorizationTrace
-
-
-def sgn(x) -> int:
-    """1 if x > 0, else 0 (zero belongs to the 'else' branch)."""
-    return 1 if x > 0 else 0
 
 
 def update_h_row(X, W, H, row: int) -> np.ndarray:
@@ -66,29 +60,21 @@ def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> SemiBina
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    t0 = time.perf_counter()
     trace = FactorizationTrace()
-    W = init_w(X, k, opts.seed)
-    try:
-        H = (init_h_real(W, X) > 0.5).astype(np.float64)
-    except SingularInitError:
-        rng = np.random.default_rng(opts.seed)
-        H = rng.integers(0, 2, size=(k, X.shape[1])).astype(np.float64)
-        trace.notes.append("init_h_fallback_random")
 
-    prev_obj = None
-    for _ in range(opts.max_iterations):
-        W = update_w(X, W, H, opts.epsilon_guard)
-        H_new = H
+    def start():
+        W = init_w(X, k, opts.seed)
+        try:
+            return W, (init_h_real(W, X) > 0.5).astype(np.float64)
+        except SingularInitError:
+            trace.notes.append("init_h_fallback_random")
+            rng = np.random.default_rng(opts.seed)
+            return W, rng.integers(0, 2, size=(k, X.shape[1])).astype(np.float64)
+
+    def row_sweep(W, H):
         for row in range(k):
-            H_new = update_h_row(X, W, H_new, row)
-        obj = frobenius_objective(X, W, H_new)
-        trace.objective_per_iteration.append(obj)
-        trace.iterations_run += 1
-        stable = bool(np.array_equal(H_new, H))
-        H = H_new
-        if stable and prev_obj is not None and _converged(prev_obj, obj, opts.tolerance):
-            break
-        prev_obj = obj
-    trace.wall_time_train = time.perf_counter() - t0
+            H = update_h_row(X, W, H, row)
+        return H
+
+    W, H = _alternate(X, start, row_sweep, opts, trace, stable_h=True)
     return SemiBinaryModel(basis=W, coefficients=H, trace=trace)

@@ -13,7 +13,6 @@ import pytest
 
 from bonmf import (
     FactorizeOptions,
-    LabeledDataset,
     accuracy,
     build_label_map,
     classify_angle_nearest,

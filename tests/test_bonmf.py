@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
 from bonmf import (
-    BinaryAssignment,
     DegenerateModelError,
     FactorizeOptions,
     cosine_similarity,
@@ -11,7 +12,6 @@ from bonmf import (
     update_h_cosine,
 )
 from bonmf.bonmf import BonmfModel, binarize_columns
-from bonmf.nmf import FactorizationTrace
 
 
 def brute_force_assignments(X, W):
@@ -204,3 +204,35 @@ def test_model_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.assignments.labels, model.assignments.labels)
     assert loaded.assignments.k == model.assignments.k
     assert loaded.cluster_labels == [2, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("basis_b64", {"m": 5}),
+        ("cluster_labels", {"cluster_labels": [2, 0]}),
+        ("cluster_labels", {"cluster_labels": [2, 0, 1, 1]}),
+    ],
+)
+def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
+    rng = np.random.default_rng(11)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4), restarts=1)
+    model.cluster_labels = [2, 0, 1]
+    path = tmp_path / "model.json"
+    model.save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(ValueError, match=field):
+        BonmfModel.load(path)
+
+
+def test_zero_sample_columns_noted_once_per_run():
+    rng = np.random.default_rng(12)
+    X = rng.random((8, 160))
+    zero = np.sort(rng.choice(160, size=100, replace=False))
+    X[:, zero] = 0.0
+    model = factorize_bonmf(
+        X, 3, FactorizeOptions(max_iterations=20, tolerance=0, seed=5), restarts=1
+    )
+    assert model.trace.iterations_run == 20
+    noted = [n for n in model.trace.notes if n.startswith("zero_norm_sample_column:")]
+    assert noted == [f"zero_norm_sample_column:{i}" for i in zero]

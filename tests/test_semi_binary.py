@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bonmf import FactorizeOptions, factorize_zhang, sgn, update_h_row
+from bonmf import FactorizeOptions, factorize_zhang, update_h_row
 
 
 def brute_force_row(X, W, H, row):
@@ -19,12 +19,6 @@ def brute_force_row(X, W, H, row):
     out = H.copy()
     out[row] = h
     return out
-
-
-def test_sgn():
-    assert sgn(1.5) == 1
-    assert sgn(0) == 0
-    assert sgn(-0.2) == 0
 
 
 def test_update_h_row_scalar_cases():
