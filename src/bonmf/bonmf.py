@@ -4,8 +4,13 @@ cosine-argmax binary H update.
 The coefficient matrix is never materialized: each sample column gets the
 index of the basis column it forms the smallest angle with, and the
 one-hot structure (single 1 per column, orthogonal rows) holds by
-construction. Columns are processed in fixed-size blocks so intermediate
-similarity buffers stay O(k), independent of n.
+construction. One iteration reads X once: the cosine H step walks X in
+blocks of H_UPDATE_BLOCK_COLS columns and, besides the labels, adds up
+each cluster's column sum and squared norm (the concept vectors of
+spherical k-means). The next W update and the objective need only those,
+so they run in O(mk), and no step allocates an m x n intermediate. The
+column norms of X are computed once per factorization and shared by
+every restart.
 """
 
 from __future__ import annotations
@@ -18,12 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
-from .matrices import BinaryAssignment, DegenerateModelError, as_data_matrix
+from .matrices import (
+    H_UPDATE_BLOCK_COLS,
+    BinaryAssignment,
+    DegenerateModelError,
+    _add_cluster_sums,
+    as_data_matrix,
+    column_norms,
+)
 from .nmf import FactorizationTrace, FactorizeOptions, _alternate
 
-# Columns per similarity block in the fused H update. Intermediate storage
-# is k * H_UPDATE_BLOCK_COLS floats regardless of n.
-H_UPDATE_BLOCK_COLS = 256
+# Restarts whose final objectives lie within this relative distance of the
+# lowest one fit equally well; the earliest of them is selected, so the
+# choice does not follow the rounding of the objective's summation order.
+RESTART_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -82,18 +95,27 @@ def binarize_columns(H) -> BinaryAssignment:
     return BinaryAssignment(np.argmax(H, axis=0), H.shape[0])
 
 
-def update_h_cosine(X, W, diagnostics: list | None = None) -> BinaryAssignment:
+def update_h_cosine(
+    X, W, diagnostics: list | None = None, *, norms=None
+) -> BinaryAssignment:
     """Assign every sample column to the basis column of maximal cosine.
 
     Zero-norm sample columns go to cluster 0 and are flagged in
     `diagnostics` if given. Zero-norm basis columns are never chosen; if
     all basis columns are zero the model is degenerate.
+
+    The same blocked pass records the cluster statistics of X on the
+    returned assignment (see BinaryAssignment). `norms` may hold
+    column_norms(X) computed earlier; the result is the same without it,
+    the norms are then computed block by block.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     m, n = X.shape
     if W.shape[0] != m:
         raise ValueError(f"W has {W.shape[0]} rows, expected {m}")
+    if norms is not None and np.shape(norms) != (n,):
+        raise ValueError(f"norms has shape {np.shape(norms)}, expected ({n},)")
     k = W.shape[1]
 
     wnorm = np.linalg.norm(W, axis=0)
@@ -103,20 +125,23 @@ def update_h_cosine(X, W, diagnostics: list | None = None) -> BinaryAssignment:
     Wn = np.where(dead, 0.0, W / np.where(dead, 1.0, wnorm))
 
     labels = np.empty(n, dtype=np.intp)
+    sums, sq_norms = np.zeros((m, k)), np.zeros(k)
     for start in range(0, n, H_UPDATE_BLOCK_COLS):
         stop = min(start + H_UPDATE_BLOCK_COLS, n)
         block = X[:, start:stop]
-        xnorm = np.linalg.norm(block, axis=0)
+        xnorm = column_norms(block) if norms is None else norms[start:stop]
         zero_cols = xnorm == 0.0
         sims = (Wn.T @ block) / np.where(zero_cols, 1.0, xnorm)
         sims[dead, :] = -np.inf
-        labels[start:stop] = np.argmax(sims, axis=0)
-        if zero_cols.any():
-            idx = np.nonzero(zero_cols)[0] + start
-            labels[idx] = 0
-            if diagnostics is not None:
-                diagnostics.extend(f"zero_norm_sample_column:{i}" for i in idx)
-    return BinaryAssignment(labels, k)
+        lab = np.argmax(sims, axis=0)
+        lab[zero_cols] = 0
+        labels[start:stop] = lab
+        _add_cluster_sums(sums, sq_norms, block, lab, xnorm)
+        if diagnostics is not None and zero_cols.any():
+            diagnostics.extend(
+                f"zero_norm_sample_column:{i}" for i in np.nonzero(zero_cols)[0] + start
+            )
+    return BinaryAssignment(labels, k, sums, sq_norms)
 
 
 def init_h(W, X, diagnostics: list | None = None) -> BinaryAssignment:
@@ -147,9 +172,10 @@ def factorize_bonmf(
     The alternation is a hard-assignment descent and regularly lands in
     poor local optima (merged clusters) from the randomized averaging
     init, so the whole init-plus-loop is run `restarts` times with seeds
-    derived from opts.seed and the factorization with the lowest final
-    objective is returned. `on_iteration(iteration, W, assignments)` is
-    invoked after every iteration of every restart when given.
+    derived from opts.seed. The earliest restart whose final objective is
+    within RESTART_TIE_RTOL (relative) of the lowest one is returned.
+    `on_iteration(iteration, W, assignments)` is invoked after every
+    iteration of every restart when given.
     """
     opts = opts or FactorizeOptions()
     X = as_data_matrix(X)
@@ -160,19 +186,25 @@ def factorize_bonmf(
 
     t0 = time.perf_counter()
     seeds = np.random.SeedSequence(opts.seed).generate_state(restarts)
-    best = None
+    norms = column_norms(X)
+    # (objective, restart, model) with strictly falling objectives, all
+    # within the tie tolerance of the lowest; a restart no better than the
+    # last entry can never be the earliest tie, so it is dropped at once.
+    kept = []
     for restart, seed in enumerate(seeds):
-        model = _factorize_once(X, k, opts, int(seed), on_iteration)
+        model = _factorize_once(X, k, opts, int(seed), on_iteration, norms)
         obj = model.trace.objective_per_iteration[-1]
-        if best is None or obj < best[0]:
-            best = (obj, restart, model)
-    _, winner, model = best
+        if kept and obj >= kept[-1][0]:
+            continue
+        kept = [c for c in kept if c[0] <= obj * (1.0 + RESTART_TIE_RTOL)]
+        kept.append((obj, restart, model))
+    _, winner, model = kept[0]
     model.trace.notes.append(f"restarts:{restarts};selected:{winner}")
     model.trace.wall_time_train = time.perf_counter() - t0
     return model
 
 
-def _factorize_once(X, k, opts, seed, on_iteration) -> BonmfModel:
+def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
     trace = FactorizationTrace()
 
     def start():
@@ -183,7 +215,7 @@ def _factorize_once(X, k, opts, seed, on_iteration) -> BonmfModel:
         # X is fixed, so the first cosine assignment (init_h's fallback or
         # the first H step) has already noted every zero-norm column
         noted = any(note.startswith("zero_norm_sample_column:") for note in trace.notes)
-        return update_h_cosine(X, W, None if noted else trace.notes)
+        return update_h_cosine(X, W, None if noted else trace.notes, norms=norms)
 
     W, assign = _alternate(X, start, cosine_step, opts, trace, on_iteration, stable_h=True)
     return BonmfModel(basis=W, assignments=assign, trace=trace)

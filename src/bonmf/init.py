@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .matrices import column_norms
+
 INIT_SAMPLE_SIZE = 10
 INIT_POOL_SIZE = 30
 
@@ -30,7 +32,7 @@ def init_w(X, k: int, seed: int) -> np.ndarray:
     m, n = X.shape
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(-np.linalg.norm(X, axis=0), kind="stable")
+    order = np.argsort(-column_norms(X), kind="stable")
     pool = order[: min(INIT_POOL_SIZE, n)]
     rng = np.random.default_rng(seed)
     replace = n < INIT_SAMPLE_SIZE

@@ -1,14 +1,25 @@
-"""Dense matrix substrate: validation, Frobenius objective, cosine similarity.
+"""Dense matrix substrate: validation, column norms, per-cluster sums,
+Frobenius objective, cosine similarity.
 
 Samples are columns everywhere in this package (X is m features by n
 samples), so per-column slicing is the hot path. All arrays are float64.
+Passes over X run in blocks of H_UPDATE_BLOCK_COLS columns, so their
+temporaries are m x H_UPDATE_BLOCK_COLS at most, never m x n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+# Columns per block of every blocked pass over X (the cosine H step, the
+# cluster sums, the column norms and the direct binary residual).
+H_UPDATE_BLOCK_COLS = 256
+
+# The objective from cluster sums is a difference of terms of size ||X||^2;
+# below this fraction of ||X||^2 the residual is summed directly instead.
+EXPANSION_FLOOR = 1e-6
 
 
 class DegenerateVectorError(ValueError):
@@ -39,10 +50,17 @@ class BinaryAssignment:
 
     The implied k x n matrix H has H[labels[j], j] = 1 and zeros elsewhere,
     so each column sums to one and H @ H.T is diagonal by construction.
+
+    `sums` (m x k, X @ H.T) and `sq_norms` (k, squared column norms of X
+    summed per cluster) optionally carry the statistics of the X the
+    assignment was computed from; `statistics` returns them instead of
+    reading X again. They take no part in equality.
     """
 
     labels: np.ndarray
     k: int
+    sums: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sq_norms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.intp)
@@ -53,6 +71,17 @@ class BinaryAssignment:
             raise ValueError("k must be >= 1")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise ValueError(f"cluster indices must lie in [0, {self.k})")
+        if (self.sums is None) != (self.sq_norms is None):
+            raise ValueError("sums and sq_norms must be given together")
+        if self.sums is not None and (
+            np.ndim(self.sums) != 2
+            or np.shape(self.sums)[1] != self.k
+            or np.shape(self.sq_norms) != (self.k,)
+        ):
+            raise ValueError(
+                f"statistics must be m x {self.k} sums and {self.k} squared norms, "
+                f"got {np.shape(self.sums)} and {np.shape(self.sq_norms)}"
+            )
 
     @property
     def n(self) -> int:
@@ -67,12 +96,59 @@ class BinaryAssignment:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
+    def statistics(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(X @ H.T, per-cluster squared norms): the stored ones if present,
+        else one blocked pass over X."""
+        if self.sums is None:
+            return cluster_sums(X, self.labels, self.k)
+        if self.sums.shape[0] != X.shape[0]:
+            raise ValueError(f"sums have {self.sums.shape[0]} rows, X has {X.shape[0]}")
+        return self.sums, self.sq_norms
+
+
+def column_norms(X) -> np.ndarray:
+    """np.linalg.norm(X, axis=0), bit for bit, without its m x n temporary."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[1])
+    for start in range(0, X.shape[1], H_UPDATE_BLOCK_COLS):
+        stop = start + H_UPDATE_BLOCK_COLS
+        out[start:stop] = np.linalg.norm(X[:, start:stop], axis=0)
+    return out
+
+
+def cluster_sums(X, labels, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster sums S = X @ H.T (m x k) and squared norms
+    q[c] = sum of ||x_j||^2 over j in cluster c, for the one-hot H given
+    by `labels`, in one blocked pass over X."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (X.shape[1],):
+        raise ValueError(f"{labels.size} labels for {X.shape[1]} columns")
+    S, q = np.zeros((X.shape[0], k)), np.zeros(k)
+    for start in range(0, X.shape[1], H_UPDATE_BLOCK_COLS):
+        block = X[:, start : start + H_UPDATE_BLOCK_COLS]
+        lab = labels[start : start + H_UPDATE_BLOCK_COLS]
+        _add_cluster_sums(S, q, block, lab, column_norms(block))
+    return S, q
+
+
+def _add_cluster_sums(S, q, block, labels, xnorm):
+    """Add one column block's share to the cluster sums S and q in place."""
+    onehot = np.zeros((labels.size, S.shape[1]))
+    onehot[np.arange(labels.size), labels] = 1.0
+    S += block @ onehot
+    q += np.bincount(labels, weights=xnorm * xnorm, minlength=S.shape[1])
+
 
 def frobenius_objective(X, W, H) -> float:
     """0.5 * ||X - W H||_F^2 with H dense or a BinaryAssignment.
 
-    For a BinaryAssignment the product W H is just column gathering
-    (W H)[:, j] = W[:, labels[j]], so no dense H is materialized.
+    For a BinaryAssignment the objective follows in O(mk) from the cluster
+    statistics S = X H^T and q:
+        0.5 * (sum(q) - 2 <S, W> + sum_c n_c ||w_c||^2),
+    with no m x n temporary. Near an exact fit that expansion cancels, so
+    below EXPANSION_FLOOR * sum(q) the residual X - W[:, labels] is summed
+    directly, block by block.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -81,14 +157,25 @@ def frobenius_objective(X, W, H) -> float:
             raise ValueError(f"W has {W.shape[1]} columns but assignment has k={H.k}")
         if X.shape != (W.shape[0], H.n):
             raise ValueError(f"shape mismatch: X {X.shape} vs W H ({W.shape[0]}, {H.n})")
-        R = X - W[:, H.labels]
-    else:
-        H = np.asarray(H, dtype=np.float64)
-        if W.shape[1] != H.shape[0] or X.shape != (W.shape[0], H.shape[1]):
-            raise ValueError(
-                f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}"
-            )
-        R = X - W @ H
+        S, q = H.statistics(X)
+        total = float(q.sum())
+        value = (
+            total
+            - 2.0 * float(np.vdot(S, W))
+            + float(H.cluster_sizes() @ np.einsum("ij,ij->j", W, W))
+        )
+        if value >= EXPANSION_FLOOR * total:
+            return 0.5 * value
+        value = 0.0
+        for start in range(0, H.n, H_UPDATE_BLOCK_COLS):
+            stop = start + H_UPDATE_BLOCK_COLS
+            R = X[:, start:stop] - W[:, H.labels[start:stop]]
+            value += float(np.sum(R * R))
+        return 0.5 * value
+    H = np.asarray(H, dtype=np.float64)
+    if W.shape[1] != H.shape[0] or X.shape != (W.shape[0], H.shape[1]):
+        raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}")
+    R = X - W @ H
     return 0.5 * float(np.sum(R * R))
 
 

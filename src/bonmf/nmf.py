@@ -55,9 +55,11 @@ class NmfModel:
 def update_w(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
     """One multiplicative W update; H may be dense or a BinaryAssignment.
 
-    For a BinaryAssignment, H H^T is diagonal with the cluster sizes and
-    X H^T sums data columns per cluster, so the update runs in O(mn)
-    without expanding H.
+    For a BinaryAssignment, H H^T is diagonal with the cluster sizes n_c
+    and X H^T is the per-cluster column sums S, so the update is
+    W * S / (W * n_c + epsilon_guard). S comes from the assignment when the
+    H step that made it recorded it (O(mk)), else from one blocked pass
+    over X; H is never expanded.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -67,9 +69,7 @@ def update_w(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
     if isinstance(H, BinaryAssignment):
         if H.k != W.shape[1] or H.n != n:
             raise ValueError("assignment shape incompatible with X, W")
-        numer = np.empty_like(W)
-        for j in range(H.k):
-            numer[:, j] = X[:, H.labels == j].sum(axis=1)
+        numer, _ = H.statistics(X)
         denom = W * H.cluster_sizes()
     else:
         H = np.asarray(H, dtype=np.float64)
@@ -115,7 +115,7 @@ def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False)
         stable = not stable_h or np.array_equal(
             getattr(H_new, "labels", H_new), getattr(H, "labels", H)
         )
-        H = H_new  # free the previous H before the objective's m x n temporaries
+        H = H_new  # free the previous H before the objective runs
         obj = frobenius_objective(X, W, H)
         trace.objective_per_iteration.append(obj)
         trace.iterations_run += 1

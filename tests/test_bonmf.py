@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bonmf import (
+    BinaryAssignment,
     DegenerateModelError,
     FactorizeOptions,
     cosine_similarity,
@@ -11,7 +12,8 @@ from bonmf import (
     init_h,
     update_h_cosine,
 )
-from bonmf.bonmf import BonmfModel, binarize_columns
+from bonmf.bonmf import RESTART_TIE_RTOL, BonmfModel, binarize_columns
+from bonmf.nmf import FactorizationTrace
 
 
 def brute_force_assignments(X, W):
@@ -236,3 +238,50 @@ def test_zero_sample_columns_noted_once_per_run():
     assert model.trace.iterations_run == 20
     noted = [n for n in model.trace.notes if n.startswith("zero_norm_sample_column:")]
     assert noted == [f"zero_norm_sample_column:{i}" for i in zero]
+
+
+def _record_restart_objectives(monkeypatch):
+    """Wrap the per-restart factorization; returns the list its final
+    objectives are appended to."""
+    import bonmf.bonmf as module
+
+    finals = []
+    once = module._factorize_once
+
+    def recording(*args):
+        model = once(*args)
+        finals.append(model.trace.objective_per_iteration[-1])
+        return model
+
+    monkeypatch.setattr(module, "_factorize_once", recording)
+    return finals
+
+
+def test_restart_ties_select_the_earliest_on_clean_blocks(monkeypatch):
+    # clean blocks: most restarts reach the true partition, and their final
+    # objectives differ only in the last bits
+    X, labels = make_blocks(20, 100, 4, seed=0)
+    finals = _record_restart_objectives(monkeypatch)
+    model = factorize_bonmf(X, 4, FactorizeOptions(seed=0))
+    finals = np.array(finals)
+    ties = np.nonzero(finals <= finals.min() * (1 + RESTART_TIE_RTOL))[0]
+    assert ties.size > 1 and len(set(finals[ties])) > 1
+    assert model.trace.notes[-1] == f"restarts:16;selected:{ties[0]}"
+    assert partitions_equal(model.assignments.labels, labels)
+
+
+def test_restart_selection_rule(monkeypatch):
+    import bonmf.bonmf as module
+
+    objectives = iter([2.0, 1.0 + 2e-12, 1.0 + 0.5e-12, 1.0, 1.0 + 3e-12, 1.0])
+
+    def fake_once(X, k, opts, seed, on_iteration, norms):
+        trace = FactorizationTrace(objective_per_iteration=[next(objectives)])
+        return BonmfModel(np.ones((2, 1)), BinaryAssignment([0], 1), trace)
+
+    monkeypatch.setattr(module, "_factorize_once", fake_once)
+    model = factorize_bonmf(np.ones((2, 1)), 1, restarts=6)
+    # restarts 2, 3 and 5 lie within 1e-12 of the lowest objective 1.0;
+    # restart 1 does not
+    assert model.trace.notes[-1] == "restarts:6;selected:2"
+    assert model.trace.objective_per_iteration == [1.0 + 0.5e-12]
