@@ -4,13 +4,20 @@ cosine-argmax binary H update.
 The coefficient matrix is never materialized: each sample column gets the
 index of the basis column it forms the smallest angle with, and the
 one-hot structure (single 1 per column, orthogonal rows) holds by
-construction. One iteration reads X once: the cosine H step walks X in
-blocks of H_UPDATE_BLOCK_COLS columns and, besides the labels, adds up
-each cluster's column sum and squared norm (the concept vectors of
-spherical k-means). The next W update and the objective need only those,
-so they run in O(mk), and no step allocates an m x n intermediate. The
-column norms of X are computed once per factorization and shared by
-every restart.
+construction. The cosine H step walks X in blocks of H_UPDATE_BLOCK_COLS
+columns and, besides the labels, adds up each cluster's column sum and
+squared norm (the concept vectors of spherical k-means). The next W update
+and the objective need only those, so they run in O(mk), and no step
+allocates an m x n intermediate.
+
+The H step also records each sample's cosine lead over the runner-up. In
+the next iteration a sample whose lead exceeds the drift of the basis
+keeps its label unscored, as in the bounds of accelerated k-means
+(Hamerly 2010; Schubert, Lang and Feher 2021); only the others are
+rescored and moved between the cluster sums. Once the labels settle, an
+iteration costs O(n + mk) and reads no column of X. The column norms of X
+are computed once per factorization and shared by every restart, its
+initialization included.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .matrices import (
     DegenerateModelError,
     _add_cluster_sums,
     as_data_matrix,
+    cluster_sums,
     column_norms,
 )
 from .nmf import FactorizationTrace, FactorizeOptions, _alternate
@@ -37,6 +45,16 @@ from .nmf import FactorizationTrace, FactorizeOptions, _alternate
 # lowest one fit equally well; the earliest of them is selected, so the
 # choice does not follow the rounding of the objective's summation order.
 RESTART_TIE_RTOL = 1e-12
+
+# A sample keeps its label unscored while its cosine lead, less the drift of
+# the basis, exceeds this. Each cosine is rounded by about (m + 2) * 2**-53
+# (the m-term dot product and the two divisions), so 1e-9 is safe up to
+# m ~ 1e6 features.
+MARGIN_SLACK = 1e-9
+
+# Stale samples of partly stale blocks are gathered in chunks of at most this
+# many columns.
+GATHER_COLS = 64
 
 
 @dataclass
@@ -96,7 +114,7 @@ def binarize_columns(H) -> BinaryAssignment:
 
 
 def update_h_cosine(
-    X, W, diagnostics: list | None = None, *, norms=None
+    X, W, diagnostics: list | None = None, *, norms=None, previous=None
 ) -> BinaryAssignment:
     """Assign every sample column to the basis column of maximal cosine.
 
@@ -105,9 +123,21 @@ def update_h_cosine(
     all basis columns are zero the model is degenerate.
 
     The same blocked pass records the cluster statistics of X on the
-    returned assignment (see BinaryAssignment). `norms` may hold
-    column_norms(X) computed earlier; the result is the same without it,
-    the norms are then computed block by block.
+    returned assignment (see BinaryAssignment), with each sample's cosine
+    lead over the runner-up and the unit basis scored against. `norms` may
+    hold column_norms(X) computed earlier; the result is the same without
+    it, the norms are then computed block by block.
+
+    `previous`, the result of an earlier call on the same X (it requires
+    `norms`), makes the call incremental. For unit vectors
+    |cos(x, a) - cos(x, b)| <= ||a - b||, so with the drift
+    d_c = ||unit w_c - previous unit w_c|| a sample keeps its label unscored
+    while lead - d[label] - max(d) > MARGIN_SLACK, and that difference
+    becomes its recorded lead. Only the other samples are rescored and
+    moved between the cluster sums; the labels are those of a fresh call.
+    A sum whose cluster members are all zero in that feature is set back
+    to exactly zero after the moves, as a fresh call computes it. A
+    `previous` without margins is ignored.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -117,6 +147,19 @@ def update_h_cosine(
     if norms is not None and np.shape(norms) != (n,):
         raise ValueError(f"norms has shape {np.shape(norms)}, expected ({n},)")
     k = W.shape[1]
+    if previous is not None:
+        if norms is None:
+            raise ValueError("previous requires norms")
+        if (previous.n, previous.k) != (n, k):
+            raise ValueError(
+                f"previous assigns {previous.n} samples to {previous.k} clusters, "
+                f"expected {n} to {k}"
+            )
+        if previous.margins is not None and previous.unit_basis.shape != (m, k):
+            raise ValueError(
+                f"previous unit basis has shape {previous.unit_basis.shape}, "
+                f"expected {(m, k)}"
+            )
 
     wnorm = np.linalg.norm(W, axis=0)
     dead = wnorm == 0.0
@@ -124,34 +167,95 @@ def update_h_cosine(
         raise DegenerateModelError("all basis columns have zero norm")
     Wn = np.where(dead, 0.0, W / np.where(dead, 1.0, wnorm))
 
-    labels = np.empty(n, dtype=np.intp)
-    sums, sq_norms = np.zeros((m, k)), np.zeros(k)
-    for start in range(0, n, H_UPDATE_BLOCK_COLS):
-        stop = min(start + H_UPDATE_BLOCK_COLS, n)
-        block = X[:, start:stop]
-        xnorm = column_norms(block) if norms is None else norms[start:stop]
+    fresh = previous is None or previous.margins is None
+    if fresh:
+        labels = np.zeros(n, dtype=np.intp)
+        margins = np.empty(n)
+        sums, sq_norms, zero_counts = np.zeros((m, k)), np.zeros(k), None
+        stale = np.ones(n, dtype=bool)
+    else:
+        # a column that dies or comes back drifts by 1, which puts every
+        # sample with a finite lead up for rescoring
+        drift = np.linalg.norm(Wn - previous.unit_basis, axis=0)
+        margins = previous.margins - drift[previous.labels] - drift.max()
+        stale = margins <= MARGIN_SLACK
+        labels = previous.labels.copy()
+        sums, sq_norms = previous.sums.copy(), previous.sq_norms.copy()
+        zero_counts = None if previous.zero_counts is None else previous.zero_counts.copy()
+
+    for cols, chunk in _stale_chunks(X, stale):
+        xnorm = column_norms(chunk) if norms is None else norms[cols]
         zero_cols = xnorm == 0.0
-        sims = (Wn.T @ block) / np.where(zero_cols, 1.0, xnorm)
+        sims = (Wn.T @ chunk) / np.where(zero_cols, 1.0, xnorm)
         sims[dead, :] = -np.inf
         lab = np.argmax(sims, axis=0)
         lab[zero_cols] = 0
-        labels[start:stop] = lab
-        _add_cluster_sums(sums, sq_norms, block, lab, xnorm)
+        # the lead counts a dead column as cosine 0, the score of its zero
+        # unit vector, so that the drift bound covers a column coming back
+        rows = np.arange(lab.size)
+        best = sims[lab, rows]
+        sims[lab, rows] = -np.inf
+        sims[dead, :] = 0.0
+        lead = best - sims.max(axis=0)
+        lead[zero_cols] = np.inf
+        old = None if fresh else labels[cols]
+        if old is None or (old != lab).any():
+            onehot = _add_cluster_sums(sums, sq_norms, chunk, lab, xnorm, old)
+            if not chunk.all():
+                if zero_counts is None:
+                    zero_counts = np.zeros((m, k))
+                zero_counts += (chunk == 0.0) @ onehot
+        labels[cols] = lab
+        margins[cols] = lead
         if diagnostics is not None and zero_cols.any():
             diagnostics.extend(
-                f"zero_norm_sample_column:{i}" for i in np.nonzero(zero_cols)[0] + start
+                f"zero_norm_sample_column:{i}" for i in np.arange(n)[cols][zero_cols]
             )
-    return BinaryAssignment(labels, k, sums, sq_norms)
+    rescored = int(np.count_nonzero(stale))
+    if rescored and not fresh:
+        # moves leave rounding residue where every member of a cluster has a
+        # zero entry (an emptied cluster included); those sums must be
+        # exactly zero, as the W step locks a basis entry at zero only then
+        zeros = 0 if zero_counts is None else zero_counts
+        exact = np.broadcast_to(zeros == np.bincount(labels, minlength=k), sums.shape)
+        sums[exact] = 0.0
+        sq_norms[exact.all(axis=0)] = 0.0
+    return BinaryAssignment(labels, k, sums, sq_norms, margins, Wn, zero_counts, rescored)
 
 
-def init_h(W, X, diagnostics: list | None = None) -> BinaryAssignment:
-    """Binarized least-squares start for H; cosine fallback if W^T W is singular."""
+def _stale_chunks(X, stale):
+    """(columns, X[:, columns]) over the samples flagged in `stale`: blocks
+    of H_UPDATE_BLOCK_COLS that are stale throughout as views, the rest
+    gathered lazily in chunks of at most GATHER_COLS columns."""
+    n = X.shape[1]
+    partial = []
+    for start in range(0, n, H_UPDATE_BLOCK_COLS):
+        cols = slice(start, min(start + H_UPDATE_BLOCK_COLS, n))
+        if stale[cols].all():
+            yield cols, X[:, cols]
+        elif stale[cols].any():
+            partial.append(np.flatnonzero(stale[cols]) + start)
+    if partial:
+        partial = np.concatenate(partial)
+        for start in range(0, partial.size, GATHER_COLS):
+            cols = partial[start : start + GATHER_COLS]
+            yield cols, X[:, cols]
+
+
+def init_h(W, X, diagnostics: list | None = None, *, norms=None) -> BinaryAssignment:
+    """Binarized least-squares start for H; cosine fallback if W^T W is singular.
+
+    The assignment carries its cluster statistics (see BinaryAssignment);
+    `norms` may hold column_norms(X) computed earlier.
+    """
     try:
-        return binarize_columns(init_h_real(W, X))
+        labels = np.argmax(init_h_real(W, X), axis=0)
     except SingularInitError:
         if diagnostics is not None:
             diagnostics.append("init_h_fallback_cosine")
-        return update_h_cosine(X, W, diagnostics)
+        return update_h_cosine(X, W, diagnostics, norms=norms)
+    k = np.shape(W)[1]
+    return BinaryAssignment(labels, k, *cluster_sums(X, labels, k, norms))
 
 
 def factorize_bonmf(
@@ -208,14 +312,18 @@ def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
     trace = FactorizationTrace()
 
     def start():
-        W = init_w(X, k, seed)
-        return W, init_h(W, X, trace.notes)
+        W = init_w(X, k, seed, norms=norms)
+        return W, init_h(W, X, trace.notes, norms=norms)
 
-    def cosine_step(W, _):
-        # X is fixed, so the first cosine assignment (init_h's fallback or
-        # the first H step) has already noted every zero-norm column
-        noted = any(note.startswith("zero_norm_sample_column:") for note in trace.notes)
-        return update_h_cosine(X, W, None if noted else trace.notes, norms=norms)
+    def cosine_step(W, H):
+        # X is fixed, so only the first cosine assignment (init_h's fallback
+        # or the first H step) notes the zero-norm columns; only
+        # update_h_cosine records `rescored`
+        notes = trace.notes if H.rescored is None else None
+        assign = update_h_cosine(X, W, notes, norms=norms, previous=H)
+        trace.rescored_per_iteration.append(assign.rescored)
+        return assign
 
     W, assign = _alternate(X, start, cosine_step, opts, trace, on_iteration, stable_h=True)
-    return BonmfModel(basis=W, assignments=assign, trace=trace)
+    # the model keeps the labels only, not the statistics and bounds
+    return BonmfModel(basis=W, assignments=BinaryAssignment(assign.labels, k), trace=trace)

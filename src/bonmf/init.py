@@ -19,20 +19,25 @@ class SingularInitError(np.linalg.LinAlgError):
     """W^T W is (numerically) rank deficient; callers fall back to cosine."""
 
 
-def init_w(X, k: int, seed: int) -> np.ndarray:
+def init_w(X, k: int, seed: int, *, norms=None) -> np.ndarray:
     """Seeded basis initialization.
 
     Columns of X are ordered by descending norm; each output column is the
     mean of INIT_SAMPLE_SIZE columns drawn uniformly from the first
     min(INIT_POOL_SIZE, n) of them, a fresh draw per column. Drawing is
     without replacement, except when n < INIT_SAMPLE_SIZE where sampling
-    with replacement keeps tiny inputs workable.
+    with replacement keeps tiny inputs workable. `norms` may hold
+    column_norms(X) computed earlier.
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(-column_norms(X), kind="stable")
+    if norms is None:
+        norms = column_norms(X)
+    elif np.shape(norms) != (n,):
+        raise ValueError(f"norms has shape {np.shape(norms)}, expected ({n},)")
+    order = np.argsort(-np.asarray(norms, dtype=np.float64), kind="stable")
     pool = order[: min(INIT_POOL_SIZE, n)]
     rng = np.random.default_rng(seed)
     replace = n < INIT_SAMPLE_SIZE

@@ -44,7 +44,7 @@ def as_data_matrix(X) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryAssignment:
     """O(n) encoding of a binary one-hot H: one cluster index per sample.
 
@@ -54,13 +54,30 @@ class BinaryAssignment:
     `sums` (m x k, X @ H.T) and `sq_norms` (k, squared column norms of X
     summed per cluster) optionally carry the statistics of the X the
     assignment was computed from; `statistics` returns them instead of
-    reading X again. They take no part in equality.
+    reading X again. The cosine H step also records `margins` (n, a lower
+    bound on each sample's cosine lead over the runner-up), `unit_basis`
+    (m x k, the normalized basis it scored against), `zero_counts` (m x k,
+    how many members of each cluster have a zero in each feature; None if
+    X has no zero entry) and `rescored` (how many samples it scored), so
+    that its next call rescores only the samples whose label can change.
+    Equality compares `k` and the labels only; the class is unhashable.
     """
 
     labels: np.ndarray
     k: int
-    sums: np.ndarray | None = field(default=None, compare=False, repr=False)
-    sq_norms: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sums: np.ndarray | None = field(default=None, repr=False)
+    sq_norms: np.ndarray | None = field(default=None, repr=False)
+    margins: np.ndarray | None = field(default=None, repr=False)
+    unit_basis: np.ndarray | None = field(default=None, repr=False)
+    zero_counts: np.ndarray | None = field(default=None, repr=False)
+    rescored: int | None = None
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryAssignment):
+            return NotImplemented
+        return self.k == other.k and np.array_equal(self.labels, other.labels)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.intp)
@@ -81,6 +98,20 @@ class BinaryAssignment:
             raise ValueError(
                 f"statistics must be m x {self.k} sums and {self.k} squared norms, "
                 f"got {np.shape(self.sums)} and {np.shape(self.sq_norms)}"
+            )
+        if self.margins is not None and (
+            self.sums is None
+            or np.shape(self.margins) != labels.shape
+            or np.shape(self.unit_basis) != np.shape(self.sums)
+            or (
+                self.zero_counts is not None
+                and np.shape(self.zero_counts) != np.shape(self.sums)
+            )
+        ):
+            raise ValueError(
+                f"margins need statistics, {labels.size} entries, an m x {self.k} "
+                f"unit basis and zero counts, got {np.shape(self.margins)}, "
+                f"{np.shape(self.unit_basis)} and {np.shape(self.zero_counts)}"
             )
 
     @property
@@ -116,28 +147,40 @@ def column_norms(X) -> np.ndarray:
     return out
 
 
-def cluster_sums(X, labels, k: int) -> tuple[np.ndarray, np.ndarray]:
+def cluster_sums(X, labels, k: int, norms=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster sums S = X @ H.T (m x k) and squared norms
     q[c] = sum of ||x_j||^2 over j in cluster c, for the one-hot H given
-    by `labels`, in one blocked pass over X."""
+    by `labels`, in one blocked pass over X. `norms` may hold
+    column_norms(X) computed earlier."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (X.shape[1],):
         raise ValueError(f"{labels.size} labels for {X.shape[1]} columns")
     S, q = np.zeros((X.shape[0], k)), np.zeros(k)
     for start in range(0, X.shape[1], H_UPDATE_BLOCK_COLS):
-        block = X[:, start : start + H_UPDATE_BLOCK_COLS]
-        lab = labels[start : start + H_UPDATE_BLOCK_COLS]
-        _add_cluster_sums(S, q, block, lab, column_norms(block))
+        cols = slice(start, start + H_UPDATE_BLOCK_COLS)
+        block = X[:, cols]
+        xnorm = column_norms(block) if norms is None else norms[cols]
+        _add_cluster_sums(S, q, block, labels[cols], xnorm)
     return S, q
 
 
-def _add_cluster_sums(S, q, block, labels, xnorm):
-    """Add one column block's share to the cluster sums S and q in place."""
-    onehot = np.zeros((labels.size, S.shape[1]))
-    onehot[np.arange(labels.size), labels] = 1.0
+def _add_cluster_sums(S, q, block, labels, xnorm, old=None):
+    """Add one column block's share to the cluster sums S and q in place;
+    with `old`, move the block's columns from the clusters `old` to
+    `labels` instead. Returns the one-hot (difference) matrix applied."""
+    k = S.shape[1]
+    rows = np.arange(labels.size)
+    weights = xnorm * xnorm
+    onehot = np.zeros((labels.size, k))
+    onehot[rows, labels] = 1.0
+    share = np.bincount(labels, weights=weights, minlength=k)
+    if old is not None:
+        onehot[rows, old] -= 1.0
+        share -= np.bincount(old, weights=weights, minlength=k)
     S += block @ onehot
-    q += np.bincount(labels, weights=xnorm * xnorm, minlength=S.shape[1])
+    q += share
+    return onehot
 
 
 def frobenius_objective(X, W, H) -> float:

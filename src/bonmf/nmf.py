@@ -43,6 +43,8 @@ class FactorizationTrace:
     iterations_run: int = 0
     wall_time_train: float = 0.0
     notes: list = field(default_factory=list)
+    # samples the bonmf cosine H step scored, per iteration (bonmf only)
+    rescored_per_iteration: list = field(default_factory=list)
 
 
 @dataclass
