@@ -5,7 +5,7 @@ new assignment."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bonmf import BinaryAssignment, FactorizeOptions, factorize_bonmf, update_h_cosine
@@ -85,6 +85,55 @@ def test_chained_h_steps_match_a_fresh_call(problem):
     assert np.array_equal(assign.labels, brute_force_assignments(X, bases[-1]))
 
 
+@st.composite
+def departing_groups(draw):
+    """(X, [W1, W2, ...]): feature 0 holds large values in samples of groups
+    1..G (indicator features 1..G) and tiny positive values in samples of
+    indicator feature G+1, whose value may be tiny too. Each basis after the
+    first sends one more group from cluster 0 to cluster 1, so the sums of
+    cluster 0 in feature 0, and possibly its squared norms, lose their large
+    terms call by call and keep only the tiny ones."""
+    groups = draw(st.integers(1, 4))
+    large = draw(
+        st.lists(st.floats(1e-3, 1.0), min_size=groups, max_size=3 * groups)
+    )
+    tiny = draw(st.lists(st.floats(1e-20, 1e-15), min_size=1, max_size=4))
+    member = draw(st.permutations(list(range(len(large)))))
+    m, n = groups + 2, len(large) + len(tiny)
+    X = np.zeros((m, n))
+    for j, value in enumerate(large):
+        X[0, j] = value
+        X[1 + member[j] % groups, j] = 1.0
+    X[0, len(large) :] = tiny
+    X[groups + 1, len(large) :] = draw(st.sampled_from([1.0, 1e-9]))
+    bases = []
+    for left in range(groups + 1):
+        W = np.zeros((m, 2))
+        W[1 + left : groups + 2, 0] = 1.0
+        W[1 : 1 + left, 1] = 1.0
+        bases.append(W)
+    return X, bases
+
+
+@PROPERTY
+@given(departing_groups())
+@example((np.array([[0.1, 0.7, 1e-18], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
+          [np.array([[0, 0], [1, 0], [1, 0], [1, 0]], dtype=float),
+           np.array([[0, 0], [1, 0], [0, 1], [1, 0]], dtype=float),
+           np.array([[0, 0], [0, 1], [0, 1], [1, 0]], dtype=float)]))
+def test_moves_leave_no_negative_sum(problem):
+    X, bases = problem
+    norms = column_norms(X)
+    assign = update_h_cosine(X, bases[0], norms=norms)
+    for W in bases[1:]:
+        assign = update_h_cosine(X, W, norms=norms, previous=assign)
+        assert np.array_equal(assign.labels, update_h_cosine(X, W).labels)
+        assert (assign.sums >= 0.0).all() and (assign.sq_norms >= 0.0).all()
+        np.testing.assert_allclose(assign.sums, X @ assign.to_dense().T, rtol=1e-12, atol=1e-12)
+    # every large sample has left cluster 0
+    assert (assign.labels[X[0] >= 1e-3] == 1).all()
+
+
 def test_unchanged_basis_rescores_nothing():
     X, _ = make_blocks(12, 300, 3, seed=1)
     norms = column_norms(X)
@@ -105,7 +154,8 @@ def test_dying_column_rescores_every_nonzero_sample():
     first = update_h_cosine(X, W, norms=norms)
     W[:, 1] = 0.0
     after = update_h_cosine(X, W, norms=norms, previous=first)
-    assert after.rescored == 48
+    # the 48 nonzero samples are stale, so their block is rescored whole
+    assert after.rescored == 50
     assert 1 not in after.labels
     assert not after.sums[:, 1].any() and after.sq_norms[1] == 0.0
     assert np.array_equal(after.labels, update_h_cosine(X, W).labels)
