@@ -2,7 +2,7 @@
 (plain NMF, orthogonal NMF, semi-binary NMF), classification schemes and
 a benchmark harness."""
 
-from .bonmf import BonmfModel, binarize_columns, factorize_bonmf, init_h, update_h_cosine
+from .bonmf import BonmfModel, factorize_bonmf, init_h, update_h_cosine
 from .classify import (
     LabeledDataset,
     accuracy,
@@ -44,7 +44,6 @@ __all__ = [
     "OnmfModel",
     "SemiBinaryModel",
     "accuracy",
-    "binarize_columns",
     "build_label_map",
     "classify_angle_nearest",
     "classify_bonmf",

@@ -3,7 +3,8 @@ training time, classification time and accuracy, plus the CLI.
 
 Per trial, all requested methods see the same train/test split (seed =
 base_seed + trial index) so comparisons are paired. Timing covers the
-train and classify phases only; data loading is excluded.
+train and classify phases only; data loading is excluded. onmf and
+onmf-cos classify with one trained model and report its training time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,42 @@ from .nmf import FactorizeOptions, factorize_nmf
 from .onmf import factorize_onmf
 from .semi_binary import factorize_zhang
 
-METHODS = ("bonmf", "nmf", "onmf", "onmf-cos", "zhang")
+
+def _train_bonmf(train: LabeledDataset, k: int, opts: FactorizeOptions):
+    model = factorize_bonmf(train.data, k, opts)
+    model.cluster_labels = build_label_map(model.assignments, train.labels)
+    return model
+
+
+def _train_onmf(train: LabeledDataset, k: int, opts: FactorizeOptions):
+    return factorize_onmf(train.data, k, opts)
+
+
+def _train_zhang(train: LabeledDataset, k: int, opts: FactorizeOptions):
+    model = factorize_zhang(train.data, k, opts)
+    # multi-hot H has no per-sample cluster, so classification goes
+    # through the cosine-to-basis route like the binary model
+    assign = update_h_cosine(train.data, model.basis)
+    wrapped = BonmfModel(basis=model.basis, assignments=assign, trace=model.trace)
+    wrapped.cluster_labels = build_label_map(assign, train.labels)
+    return wrapped
+
+
+# method -> (train(train_set, k, opts), classify(sample, model, train_set)); a
+# trial trains once per train function. Entries look this module's names up at
+# call time, so a tracer that rebinds them sees every call.
+_METHODS = {
+    "bonmf": (_train_bonmf, lambda x, model, train: classify_bonmf(x, model)),
+    "nmf": (lambda train, k, opts: factorize_nmf(train.data, k, opts),
+            lambda x, model, train: classify_angle_nearest(x, model, train, "nmf")),
+    "onmf": (_train_onmf, lambda x, model, train: classify_coefficient_argmax(x, model, train)),
+    "onmf-cos": (_train_onmf,
+                 lambda x, model, train: classify_angle_nearest(x, model, train, "onmf-cos")),
+    "zhang": (_train_zhang, lambda x, model, train: classify_bonmf(x, model)),
+}
+METHODS = tuple(_METHODS)
+
+_REPORT_EXTENSIONS = {"json": "json", "csv": "csv", "markdown": "md"}
 
 
 class ConfigError(ValueError):
@@ -64,8 +100,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if isinstance(self.rank, int) and self.rank < 1:
-            raise ConfigError("rank must resolve to >= 1")
+        if self.rank != "classes" and not (isinstance(self.rank, int) and self.rank >= 1):
+            raise ConfigError(f"rank must be 'classes' or an integer >= 1, got {self.rank!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must be in (0, 1)")
+        FactorizeOptions(max_iterations=self.max_iterations, tolerance=self.tolerance)
+        unknown = set(self.emit) - set(_REPORT_EXTENSIONS)
+        if unknown:
+            raise ConfigError(f"unknown report formats: {sorted(unknown)}")
 
 
 @dataclass
@@ -112,60 +154,33 @@ def synth_dataset(
     return LabeledDataset(data=X, labels=labels, class_count=k)
 
 
-def _train(method, train: LabeledDataset, k: int, opts: FactorizeOptions):
-    if method == "bonmf":
-        model = factorize_bonmf(train.data, k, opts)
-        model.cluster_labels = build_label_map(model.assignments, train.labels)
-        return model
-    if method == "nmf":
-        return factorize_nmf(train.data, k, opts)
-    if method in ("onmf", "onmf-cos"):
-        return factorize_onmf(train.data, k, opts)
-    if method == "zhang":
-        model = factorize_zhang(train.data, k, opts)
-        # multi-hot H has no per-sample cluster, so classification goes
-        # through the cosine-to-basis route like the binary model
-        assign = update_h_cosine(train.data, model.basis)
-        wrapped = BonmfModel(
-            basis=model.basis, assignments=assign, trace=model.trace
-        )
-        wrapped.cluster_labels = build_label_map(assign, train.labels)
-        return wrapped
-    raise ConfigError(f"unknown method {method!r}")
-
-
-def _classify_all(method, model, train: LabeledDataset, test: LabeledDataset):
-    preds = np.empty(test.n, dtype=np.intp)
-    for j in range(test.n):
-        x = test.data[:, j]
-        if method in ("bonmf", "zhang"):
-            preds[j] = classify_bonmf(x, model)
-        elif method == "nmf":
-            preds[j] = classify_angle_nearest(x, model, train, scheme="nmf")
-        elif method == "onmf":
-            preds[j] = classify_coefficient_argmax(x, model, train)
-        elif method == "onmf-cos":
-            preds[j] = classify_angle_nearest(x, model, train, scheme="onmf-cos")
-    return preds
-
-
 def _run_trial(cfg: ExperimentConfig, ds: LabeledDataset, trial: int) -> list:
     seed = cfg.base_seed + trial
     train, test = train_test_split(ds, cfg.train_fraction, seed)
-    k = ds.class_count if cfg.rank == "classes" else int(cfg.rank)
+    k = ds.class_count if cfg.rank == "classes" else cfg.rank
     opts = FactorizeOptions(
         max_iterations=cfg.max_iterations, tolerance=cfg.tolerance, seed=seed
     )
+    trained = {}  # train function -> (model, seconds), or the exception it raised
     records = []
     for method in cfg.methods:
+        fit, classify = _METHODS[method]
         rec = {"method": method, "trial": trial, "seed": seed, "failed": False,
                "error": None, "tt": None, "ct": None, "accuracy": None}
         try:
-            t0 = time.perf_counter()
-            model = _train(method, train, k, opts)
-            rec["tt"] = time.perf_counter() - t0
+            if fit not in trained:
+                t0 = time.perf_counter()
+                try:
+                    trained[fit] = (fit(train, k, opts), time.perf_counter() - t0)
+                except Exception as exc:  # noqa: BLE001 - re-raised below for every sharer
+                    trained[fit] = exc
+            if isinstance(trained[fit], Exception):
+                raise trained[fit]
+            model, rec["tt"] = trained[fit]
             t1 = time.perf_counter()
-            preds = _classify_all(method, model, train, test)
+            preds = np.array(
+                [classify(test.data[:, j], model, train) for j in range(test.n)], dtype=np.intp
+            )
             rec["ct"] = time.perf_counter() - t1
             rec["accuracy"] = accuracy(preds, test.labels)
         except Exception as exc:  # noqa: BLE001 - failed trials are reported, not fatal
@@ -245,11 +260,37 @@ def emit_report(report: TrialReport, format: str) -> str:
 # ---------------------------------------------------------------------------
 # config files and CLI
 
-_CONFIG_KEYS = {
-    "dataset", "format", "label_column", "delimiter", "has_header", "shift_nonneg",
-    "methods", "trials", "rank", "train_frac", "max_iters", "tol", "seed",
-    "jobs", "out", "emit",
+def _names(text: str) -> tuple:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# config-file key -> (DatasetSpec or ExperimentConfig field, parser of the
+# key's text). Every key outside _CONFIG_ONLY is also a `bench run` flag.
+# Defaults live in the dataclasses only.
+_OPTIONS = {
+    "dataset": ("path", str),
+    "format": ("format", str),
+    "label_column": ("label_column", str),
+    "delimiter": ("delimiter", str),
+    "has_header": ("has_header", _flag),
+    "shift_nonneg": ("shift_nonneg", _flag),
+    "methods": ("methods", _names),
+    "trials": ("trials", int),
+    "rank": ("rank", lambda text: text if text == "classes" else int(text)),
+    "train_frac": ("train_fraction", float),
+    "max_iters": ("max_iterations", int),
+    "tol": ("tolerance", float),
+    "seed": ("base_seed", int),
+    "jobs": ("jobs", int),
+    "out": ("out_dir", str),
+    "emit": ("emit", _names),
 }
+_CONFIG_ONLY = ("label_column", "delimiter", "has_header", "shift_nonneg")
+_SPEC_FIELDS = {f.name for f in fields(DatasetSpec)}
 
 
 def parse_config_file(path) -> dict:
@@ -263,7 +304,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val
     return values
@@ -272,37 +313,15 @@ def parse_config_file(path) -> dict:
 def _build_config(values: dict) -> ExperimentConfig:
     if "dataset" not in values:
         raise ConfigError("dataset path is required")
-    spec = DatasetSpec(
-        path=values["dataset"],
-        format=values.get("format", "csv"),
-        label_column=values.get("label_column", "last"),
-        delimiter=values.get("delimiter", ","),
-        has_header=str(values.get("has_header", "false")).lower() in ("1", "true", "yes"),
-        shift_nonneg=str(values.get("shift_nonneg", "false")).lower() in ("1", "true", "yes"),
-    )
-    rank = values.get("rank", "classes")
-    if rank != "classes":
-        rank = int(rank)
-    methods = values.get("methods", ",".join(METHODS))
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    emit = values.get("emit", "json")
-    if isinstance(emit, str):
-        emit = tuple(e.strip() for e in emit.split(",") if e.strip())
+    spec, settings = {}, {}
+    for key, text in values.items():
+        name, parse = _OPTIONS[key]
+        try:
+            (spec if name in _SPEC_FIELDS else settings)[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     try:
-        return ExperimentConfig(
-            dataset=spec,
-            methods=methods,
-            trials=int(values.get("trials", 30)),
-            rank=rank,
-            train_fraction=float(values.get("train_frac", 0.8)),
-            max_iterations=int(values.get("max_iters", 200)),
-            tolerance=float(values.get("tol", 1e-4)),
-            base_seed=int(values.get("seed", 0)),
-            jobs=int(values.get("jobs", 1)),
-            out_dir=values.get("out", "bench-out"),
-            emit=emit,
-        )
+        return ExperimentConfig(dataset=DatasetSpec(**spec), **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -311,22 +330,21 @@ def write_outputs(cfg: ExperimentConfig, report: TrialReport):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(json.dumps(report.config, indent=2))
-    ext = {"json": "json", "csv": "csv", "markdown": "md"}
     for fmt in cfg.emit:
-        (out / f"report.{ext[fmt]}").write_text(emit_report(report, fmt))
+        (out / f"report.{_REPORT_EXTENSIONS[fmt]}").write_text(emit_report(report, fmt))
 
 
 def _cmd_run(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "dataset": args.dataset, "format": args.format, "methods": args.methods,
-        "trials": args.trials, "rank": args.rank, "train_frac": args.train_frac,
-        "max_iters": args.max_iters, "tol": args.tol, "seed": args.seed,
-        "jobs": args.jobs, "out": args.out, "emit": args.emit,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(
+        {key: getattr(args, key) for key in _OPTIONS if getattr(args, key, None) is not None}
+    )
     cfg = _build_config(values)
-    report = run_experiment(cfg)
+    try:
+        ds = load_dataset(cfg.dataset)
+    except ValueError as exc:  # malformed file or negative features
+        raise ConfigError(str(exc)) from exc
+    report = run_experiment(cfg, ds)
     write_outputs(cfg, report)
     print(emit_report(report, "markdown"))
     ok = [r for r in report.records if not r["failed"]]
@@ -351,18 +369,9 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a benchmark experiment")
     run_p.add_argument("--config")
-    run_p.add_argument("--dataset")
-    run_p.add_argument("--format", choices=("csv", "libsvm"))
-    run_p.add_argument("--methods")
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--rank")
-    run_p.add_argument("--train-frac", dest="train_frac", type=float)
-    run_p.add_argument("--max-iters", dest="max_iters", type=int)
-    run_p.add_argument("--tol", type=float)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--jobs", type=int)
-    run_p.add_argument("--out")
-    run_p.add_argument("--emit")
+    for key in _OPTIONS:
+        if key not in _CONFIG_ONLY:
+            run_p.add_argument("--" + key.replace("_", "-"), dest=key)
     run_p.set_defaults(func=_cmd_run)
 
     synth_p = sub.add_parser("synth", help="generate a synthetic block dataset")
@@ -378,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

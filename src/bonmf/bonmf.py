@@ -106,15 +106,6 @@ class BonmfModel:
         )
 
 
-def binarize_columns(H) -> BinaryAssignment:
-    """Collapse each column of a real coefficient matrix to its argmax index.
-
-    Ties break to the lowest cluster index.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    return BinaryAssignment(np.argmax(H, axis=0), H.shape[0])
-
-
 def update_h_cosine(
     X, W, diagnostics: list | None = None, *, norms=None, previous=None
 ) -> BinaryAssignment:

@@ -20,21 +20,21 @@ import numpy as np
 from .init import init_h_real, init_w
 from .matrices import BinaryAssignment, as_data_matrix, frobenius_objective
 
+# added to every multiplicative-update denominator
+EPSILON_GUARD = 1e-10
+
 
 @dataclass
 class FactorizeOptions:
     max_iterations: int = 200
     tolerance: float = 1e-4
     seed: int = 0
-    epsilon_guard: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        if self.epsilon_guard <= 0:
-            raise ValueError("epsilon_guard must be > 0")
 
 
 @dataclass
@@ -54,7 +54,7 @@ class NmfModel:
     trace: FactorizationTrace
 
 
-def update_w(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
+def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
     """One multiplicative W update; H may be dense or a BinaryAssignment.
 
     For a BinaryAssignment, H H^T is diagonal with the cluster sizes n_c
@@ -82,7 +82,7 @@ def update_w(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
     return W * numer / (denom + epsilon_guard)
 
 
-def update_h_dense(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
+def update_h_dense(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
     """One multiplicative update of the dense coefficient matrix."""
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -112,7 +112,7 @@ def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False)
     W, H = start()
     prev = None
     for it in range(opts.max_iterations):
-        W = update_w(X, W, H, opts.epsilon_guard)
+        W = update_w(X, W, H)
         H_new = h_step(W, H)
         stable = not stable_h or np.array_equal(
             getattr(H_new, "labels", H_new), getattr(H, "labels", H)
@@ -157,7 +157,5 @@ def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
             trace.notes.append("init_h_fallback_random")
             return W, np.random.default_rng(opts.seed).random((k, n))
 
-    W, H = _alternate(
-        X, start, lambda W, H: update_h_dense(X, W, H, opts.epsilon_guard), opts, trace
-    )
+    W, H = _alternate(X, start, lambda W, H: update_h_dense(X, W, H), opts, trace)
     return NmfModel(basis=W, coefficients=H, trace=trace)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
 from .matrices import as_data_matrix
-from .nmf import FactorizationTrace, FactorizeOptions, _alternate
+from .nmf import EPSILON_GUARD, FactorizationTrace, FactorizeOptions, _alternate
 
 
 @dataclass
@@ -38,7 +38,7 @@ def orthogonality_residual(H) -> float:
     return float(np.linalg.norm(off))
 
 
-def update_h_orthogonal(X, W, H, epsilon_guard: float = 1e-10) -> np.ndarray:
+def update_h_orthogonal(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
     WtX = W.T @ X
     denom = (WtX @ H.T) @ H + epsilon_guard
     return H * np.sqrt(WtX / denom)
@@ -68,7 +68,7 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
     W, H = _alternate(
         X,
         start,
-        lambda W, H: update_h_orthogonal(X, W, H, opts.epsilon_guard),
+        lambda W, H: update_h_orthogonal(X, W, H),
         opts,
         trace,
         lambda it, W, H: residuals.append(orthogonality_residual(H)),
@@ -76,7 +76,7 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
     return OnmfModel(basis=W, coefficients=H, trace=trace, orthogonality_residual=residuals)
 
 
-def encode_sample(x, W, inner_iterations: int = 50, epsilon_guard: float = 1e-10):
+def encode_sample(x, W, inner_iterations: int = 50, epsilon_guard: float = EPSILON_GUARD):
     """Coefficient vector h >= 0 with W h ~ x, via multiplicative updates
     with W fixed, from an all-ones start. Deterministic."""
     x = np.asarray(x, dtype=np.float64).ravel()

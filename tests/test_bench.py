@@ -1,11 +1,14 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import bonmf.bench
 from bonmf.bench import (
     ConfigError,
     ExperimentConfig,
+    _build_config,
     emit_report,
     main,
     parse_config_file,
@@ -196,3 +199,76 @@ def test_run_experiment_parallel_jobs_match_sequential():
         {k: v for k, v in r.items() if k not in ("tt", "ct")} for r in recs
     ]
     assert sorted(strip(seq.records), key=str) == sorted(strip(par.records), key=str)
+
+
+BLOCKS_CSV = "".join(f"{1 + j % 2}.0,{2 - j % 2}.0,{j % 2}\n" for j in range(20))
+
+
+@pytest.mark.parametrize(
+    "csv_text, config_lines, flags",
+    [
+        pytest.param(BLOCKS_CSV, ["format = xml"], [], id="format-xml"),
+        pytest.param(BLOCKS_CSV, ["rank = abc"], [], id="rank-abc"),
+        pytest.param(BLOCKS_CSV, ["label_column = first"], [], id="label-column-first"),
+        pytest.param(BLOCKS_CSV, [], ["--emit", "yaml"], id="emit-yaml"),
+        pytest.param(BLOCKS_CSV, [], ["--train-frac", "1.5"], id="train-frac-1.5"),
+        pytest.param(BLOCKS_CSV, [], ["--max-iters", "0"], id="max-iters-0"),
+        pytest.param(BLOCKS_CSV, [], ["--tol", "-1"], id="tol-negative"),
+        pytest.param(BLOCKS_CSV, [], ["--trials", "many"], id="trials-many"),
+        pytest.param("1.0,2.0,0\n1.0,oops,1\n", [], [], id="malformed-csv"),
+    ],
+)
+def test_cli_bad_input_fails_before_any_trial(tmp_path, capsys, csv_text, config_lines, flags):
+    data_file = tmp_path / "data.csv"
+    data_file.write_text(csv_text)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("\n".join([f"dataset = {data_file}", *config_lines]) + "\n")
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(cfg_file), "--trials", "1", "--out", str(out_dir), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_build_config_defaults_are_the_dataclass_defaults():
+    assert _build_config({"dataset": "d.csv"}) == ExperimentConfig(DatasetSpec("d.csv"))
+
+
+def _count_calls(monkeypatch, name, log):
+    """Rebind bonmf.bench.<name> to a wrapper that appends one character to
+    `log` per call; forked worker processes inherit the rebinding and share
+    the file."""
+    original = getattr(bonmf.bench, name)
+
+    def counting(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(".")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bonmf.bench, name, counting)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "methods", [("onmf", "onmf-cos"), ("onmf-cos", "onmf"), ("onmf-cos",)]
+)
+def test_onmf_cos_reuses_the_onmf_model(tmp_path, monkeypatch, methods, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the counting rebinding only when forked")
+    log = tmp_path / "calls"
+    _count_calls(monkeypatch, "factorize_onmf", log)
+    ds = synth_dataset("blocks", 10, 40, 2, 0.1, seed=11)
+    report = run_experiment(blocks_cfg(methods=methods, trials=2, jobs=jobs), ds=ds)
+    assert len(log.read_text()) == 2
+    assert not any(r["failed"] for r in report.records)
+    for trial in range(2):
+        tts = {r["tt"] for r in report.records if r["trial"] == trial}
+        assert len(tts) == 1
+
+
+def test_method_table_looks_up_classifiers_at_call_time(tmp_path, monkeypatch):
+    log = tmp_path / "calls"
+    _count_calls(monkeypatch, "classify_bonmf", log)
+    ds = synth_dataset("blocks", 10, 40, 2, 0.1, seed=12)
+    run_experiment(blocks_cfg(methods=("bonmf", "zhang")), ds=ds)
+    assert len(log.read_text()) == 2 * 8  # two methods, 8 test samples

@@ -12,7 +12,7 @@ from bonmf import (
     init_h,
     update_h_cosine,
 )
-from bonmf.bonmf import RESTART_TIE_RTOL, BonmfModel, binarize_columns
+from bonmf.bonmf import RESTART_TIE_RTOL, BonmfModel
 from bonmf.nmf import FactorizationTrace
 
 
@@ -126,11 +126,6 @@ def test_init_h_singular_falls_back_to_cosine():
     assign = init_h(W, X, diagnostics=diag)
     assert "init_h_fallback_cosine" in diag
     assert assign.n == 6
-
-
-def test_binarize_columns_lowest_index_tie_break():
-    H = np.array([[0.5, 0.2], [0.5, 0.7]])
-    assert binarize_columns(H).labels.tolist() == [0, 1]
 
 
 def make_blocks(m, n, k, seed, noise=0.0):

@@ -117,5 +117,3 @@ def test_options_validation():
         FactorizeOptions(max_iterations=0)
     with pytest.raises(ValueError):
         FactorizeOptions(tolerance=-1)
-    with pytest.raises(ValueError):
-        FactorizeOptions(epsilon_guard=0)
