@@ -29,7 +29,7 @@ from .nmf import (
     update_w,
 )
 from .onmf import OnmfModel, encode_sample, factorize_onmf
-from .semi_binary import SemiBinaryModel, factorize_zhang, update_h_row
+from .semi_binary import factorize_zhang, update_h_row
 
 __all__ = [
     "BinaryAssignment",
@@ -42,7 +42,6 @@ __all__ = [
     "LabeledDataset",
     "NmfModel",
     "OnmfModel",
-    "SemiBinaryModel",
     "accuracy",
     "build_label_map",
     "classify_angle_nearest",

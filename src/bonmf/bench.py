@@ -342,7 +342,8 @@ def _cmd_run(args) -> int:
     cfg = _build_config(values)
     try:
         ds = load_dataset(cfg.dataset)
-    except ValueError as exc:  # malformed file or negative features
+        train_test_split(ds, cfg.train_fraction, cfg.base_seed)  # raises on too few samples
+    except ValueError as exc:  # malformed file, negative features or too few samples
         raise ConfigError(str(exc)) from exc
     report = run_experiment(cfg, ds)
     write_outputs(cfg, report)

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import base64
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +56,37 @@ MARGIN_SLACK = 1e-9
 # as a view instead: on C-ordered X a gathered column reads one cache line per
 # row, and gathering half a block costs about as much as the whole block.
 GATHER_COLS = 64
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class CosineAssignment(BinaryAssignment):
+    """What the cosine H step returns: an assignment with its statistics
+    and what the next call needs to rescore only the samples whose label
+    can change. `margins` (n) bounds each sample's cosine lead over the
+    runner-up from below, `unit_basis` (m x k) is the normalized basis it
+    scored against, `zero_counts` (m x k) counts how many members of each
+    cluster have a zero in each feature (None if X has no zero entry) and
+    `rescored` is how many samples it scored."""
+
+    margins: np.ndarray = field(repr=False)
+    unit_basis: np.ndarray = field(repr=False)
+    zero_counts: np.ndarray | None = field(repr=False)
+    rescored: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        shape = np.shape(self.sums)
+        if (
+            self.sums is None
+            or np.shape(self.margins) != (self.n,)
+            or np.shape(self.unit_basis) != shape
+            or (self.zero_counts is not None and np.shape(self.zero_counts) != shape)
+        ):
+            raise ValueError(
+                f"margins need statistics, {self.n} entries, an m x {self.k} unit basis "
+                f"and zero counts, got {np.shape(self.margins)}, {np.shape(self.unit_basis)} "
+                f"and {np.shape(self.zero_counts)}"
+            )
 
 
 @dataclass
@@ -93,13 +123,16 @@ class BonmfModel:
             raise ValueError(
                 f"basis_b64 holds {len(raw)} bytes, expected 8*m*k = {8 * m * k}"
             )
+        basis = np.frombuffer(raw, dtype=np.float64).reshape(m, k).copy()
+        if not np.isfinite(basis).all() or (basis < 0).any():
+            raise ValueError("basis_b64 holds NaN, infinite or negative entries")
         cluster_labels = payload["cluster_labels"]
         if cluster_labels is not None and len(cluster_labels) != k:
             raise ValueError(
                 f"cluster_labels has {len(cluster_labels)} entries, expected k = {k}"
             )
         return cls(
-            basis=np.frombuffer(raw, dtype=np.float64).reshape(m, k).copy(),
+            basis=basis,
             assignments=BinaryAssignment(np.array(payload["assignments"]), k),
             trace=FactorizationTrace(),
             cluster_labels=cluster_labels,
@@ -108,7 +141,7 @@ class BonmfModel:
 
 def update_h_cosine(
     X, W, diagnostics: list | None = None, *, norms=None, previous=None
-) -> BinaryAssignment:
+) -> CosineAssignment:
     """Assign every sample column to the basis column of maximal cosine.
 
     Zero-norm sample columns go to cluster 0 and are flagged in
@@ -116,13 +149,14 @@ def update_h_cosine(
     all basis columns are zero the model is degenerate.
 
     The same blocked pass records the cluster statistics of X on the
-    returned assignment (see BinaryAssignment), with each sample's cosine
-    lead over the runner-up and the unit basis scored against. `norms` may
-    hold column_norms(X) computed earlier; the result is the same without
-    it, the norms are then computed block by block.
+    returned CosineAssignment, with each sample's cosine lead over the
+    runner-up and the unit basis scored against. `norms` may hold
+    column_norms(X) computed earlier; the result is the same without it,
+    the norms are then computed block by block.
 
-    `previous`, the result of an earlier call on the same X (it requires
-    `norms`), makes the call incremental. For unit vectors
+    A CosineAssignment from an earlier call on the same X as `previous`
+    (it requires `norms`) makes the call incremental; any other
+    BinaryAssignment only has its shape checked. For unit vectors
     |cos(x, a) - cos(x, b)| <= ||a - b||, so with the drift
     d_c = ||unit w_c - previous unit w_c|| a sample keeps its label unscored
     while lead - d[label] - max(d) > MARGIN_SLACK, and that difference
@@ -131,7 +165,7 @@ def update_h_cosine(
     the cluster sums; the labels are those of a fresh call. After the moves
     a sum whose cluster members are all zero in that feature is set back to
     exactly zero, as a fresh call computes it, and a sum that rounding took
-    below zero is set to zero. A `previous` without margins is ignored.
+    below zero is set to zero.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -149,7 +183,7 @@ def update_h_cosine(
                 f"previous assigns {previous.n} samples to {previous.k} clusters, "
                 f"expected {n} to {k}"
             )
-        if previous.margins is not None and previous.unit_basis.shape != (m, k):
+        if isinstance(previous, CosineAssignment) and previous.unit_basis.shape != (m, k):
             raise ValueError(
                 f"previous unit basis has shape {previous.unit_basis.shape}, "
                 f"expected {(m, k)}"
@@ -161,7 +195,7 @@ def update_h_cosine(
         raise DegenerateModelError("all basis columns have zero norm")
     Wn = np.where(dead, 0.0, W / np.where(dead, 1.0, wnorm))
 
-    fresh = previous is None or previous.margins is None
+    fresh = not isinstance(previous, CosineAssignment)
     if fresh:
         labels = np.zeros(n, dtype=np.intp)
         margins = np.empty(n)
@@ -220,7 +254,8 @@ def update_h_cosine(
         # which the W step would turn into a negative basis entry
         np.maximum(sums, 0.0, out=sums)
         np.maximum(sq_norms, 0.0, out=sq_norms)
-    return BinaryAssignment(labels, k, sums, sq_norms, margins, Wn, zero_counts, rescored)
+    return CosineAssignment(labels, k, sums, sq_norms, margins=margins, unit_basis=Wn,
+                            zero_counts=zero_counts, rescored=rescored)
 
 
 def _stale_chunks(X, stale):
@@ -290,7 +325,6 @@ def factorize_bonmf(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    t0 = time.perf_counter()
     seeds = np.random.SeedSequence(opts.seed).generate_state(restarts)
     norms = column_norms(X)
     # (objective, restart, model) with strictly falling objectives, all
@@ -306,7 +340,6 @@ def factorize_bonmf(
         kept.append((obj, restart, model))
     _, winner, model = kept[0]
     model.trace.notes.append(f"restarts:{restarts};selected:{winner}")
-    model.trace.wall_time_train = time.perf_counter() - t0
     return model
 
 
@@ -319,9 +352,8 @@ def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
 
     def cosine_step(W, H):
         # X is fixed, so only the first cosine assignment (init_h's fallback
-        # or the first H step) notes the zero-norm columns; only
-        # update_h_cosine records `rescored`
-        notes = trace.notes if H.rescored is None else None
+        # or the first H step) notes the zero-norm columns
+        notes = None if isinstance(H, CosineAssignment) else trace.notes
         assign = update_h_cosine(X, W, notes, norms=norms, previous=H)
         trace.rescored_per_iteration.append(assign.rescored)
         return assign

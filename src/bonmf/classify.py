@@ -13,6 +13,7 @@ All tie-breaks go to the lowest index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +101,13 @@ def classify_coefficient_argmax(x, model, train: LabeledDataset) -> int:
 
 
 def _best_cosine_index(x, columns) -> int:
-    """Index of the column with maximal cosine to x; zero columns lose."""
+    """Index of the column with maximal cosine to x; zero columns lose.
+    Raises ValueError if the norm of x is not finite."""
     norms = np.linalg.norm(columns, axis=0)
     xnorm = np.linalg.norm(x)
+    # checked before the scores, where an infinity times a zero would warn
+    if not math.isfinite(xnorm):
+        raise ValueError("sample has NaN or infinite entries, or its norm overflows")
     if xnorm == 0.0:
         return 0
     sims = np.where(norms == 0.0, -np.inf, (columns.T @ x) / np.where(norms == 0, 1, norms))

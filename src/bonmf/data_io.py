@@ -29,6 +29,13 @@ class DatasetSpec:
     def __post_init__(self):
         if self.format not in ("csv", "libsvm"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.label_column != "last":
+            # digits only: no sign, no decimal point, no bool
+            if not str(self.label_column).isdecimal():
+                raise ValueError(
+                    f"label_column must be 'last' or an integer >= 0, got {self.label_column!r}"
+                )
+            self.label_column = int(self.label_column)
 
 
 class DatasetFormatError(ValueError):
@@ -48,7 +55,7 @@ def _parse_csv(spec: DatasetSpec):
                 continue
             if not record:
                 continue
-            label_idx = len(record) - 1 if spec.label_column == "last" else int(spec.label_column)
+            label_idx = len(record) - 1 if spec.label_column == "last" else spec.label_column
             try:
                 label = record[label_idx]
                 feats = [
@@ -144,9 +151,7 @@ def save_dataset(ds: LabeledDataset, path):
             writer.writerow([repr(float(v)) for v in ds.data[:, j]] + [int(ds.labels[j])])
 
 
-def train_test_split(
-    ds: LabeledDataset, train_fraction: float, seed: int, stratify: bool = False
-):
+def train_test_split(ds: LabeledDataset, train_fraction: float, seed: int):
     """Seeded uniform shuffle; the first ceil(train_fraction * n) samples
     train, the rest test. Both parts keep the original class_count."""
     if not 0.0 < train_fraction < 1.0:
@@ -155,22 +160,7 @@ def train_test_split(
     n_train = math.ceil(train_fraction * n)
     if n_train == 0 or n_train == n:
         raise ValueError(f"split of {n} samples at {train_fraction} leaves an empty part")
-    rng = np.random.default_rng(seed)
-    if stratify:
-        # round-robin interleave of per-class shuffles keeps every prefix
-        # (and hence the train part) close to the class proportions
-        per_class = [
-            list(rng.permutation(np.nonzero(ds.labels == c)[0]))
-            for c in range(ds.class_count)
-        ]
-        perm = []
-        while any(per_class):
-            for bucket in per_class:
-                if bucket:
-                    perm.append(bucket.pop())
-        perm = np.array(perm, dtype=np.intp)
-    else:
-        perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     make = lambda idx: LabeledDataset(ds.data[:, idx], ds.labels[idx], ds.class_count)
     return make(tr), make(te)

@@ -54,12 +54,9 @@ class BinaryAssignment:
     `sums` (m x k, X @ H.T) and `sq_norms` (k, squared column norms of X
     summed per cluster) optionally carry the statistics of the X the
     assignment was computed from; `statistics` returns them instead of
-    reading X again. The cosine H step also records `margins` (n, a lower
-    bound on each sample's cosine lead over the runner-up), `unit_basis`
-    (m x k, the normalized basis it scored against), `zero_counts` (m x k,
-    how many members of each cluster have a zero in each feature; None if
-    X has no zero entry) and `rescored` (how many samples it scored), so
-    that its next call rescores only the samples whose label can change.
+    reading X again. The cosine H step returns a subclass that also holds
+    its rescoring state (CosineAssignment in bonmf.bonmf).
+
     Equality compares `k` and the labels only; the class is unhashable.
     """
 
@@ -67,10 +64,6 @@ class BinaryAssignment:
     k: int
     sums: np.ndarray | None = field(default=None, repr=False)
     sq_norms: np.ndarray | None = field(default=None, repr=False)
-    margins: np.ndarray | None = field(default=None, repr=False)
-    unit_basis: np.ndarray | None = field(default=None, repr=False)
-    zero_counts: np.ndarray | None = field(default=None, repr=False)
-    rescored: int | None = None
 
     __hash__ = None
 
@@ -98,20 +91,6 @@ class BinaryAssignment:
             raise ValueError(
                 f"statistics must be m x {self.k} sums and {self.k} squared norms, "
                 f"got {np.shape(self.sums)} and {np.shape(self.sq_norms)}"
-            )
-        if self.margins is not None and (
-            self.sums is None
-            or np.shape(self.margins) != labels.shape
-            or np.shape(self.unit_basis) != np.shape(self.sums)
-            or (
-                self.zero_counts is not None
-                and np.shape(self.zero_counts) != np.shape(self.sums)
-            )
-        ):
-            raise ValueError(
-                f"margins need statistics, {labels.size} entries, an m x {self.k} "
-                f"unit basis and zero counts, got {np.shape(self.margins)}, "
-                f"{np.shape(self.unit_basis)} and {np.shape(self.zero_counts)}"
             )
 
     @property

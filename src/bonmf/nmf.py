@@ -12,7 +12,6 @@ produce NaN while zero entries stay locked at zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +39,13 @@ class FactorizeOptions:
 @dataclass
 class FactorizationTrace:
     objective_per_iteration: list = field(default_factory=list)
-    iterations_run: int = 0
-    wall_time_train: float = 0.0
     notes: list = field(default_factory=list)
     # samples the bonmf cosine H step scored, per iteration (bonmf only)
     rescored_per_iteration: list = field(default_factory=list)
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objective_per_iteration)
 
 
 @dataclass
@@ -108,7 +109,6 @@ def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False)
     opts.tolerance and, with `stable_h`, H is unchanged. update_w,
     frobenius_objective and the H step are looked up at call time.
     """
-    t0 = time.perf_counter()
     W, H = start()
     prev = None
     for it in range(opts.max_iterations):
@@ -120,13 +120,11 @@ def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False)
         H = H_new  # free the previous H before the objective runs
         obj = frobenius_objective(X, W, H)
         trace.objective_per_iteration.append(obj)
-        trace.iterations_run += 1
         if on_iteration is not None:
             on_iteration(it, W, H)
         if stable and prev is not None and _converged(prev, obj, opts.tolerance):
             break
         prev = obj
-    trace.wall_time_train = time.perf_counter() - t0
     return W, H
 
 

@@ -78,11 +78,14 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
 
 def encode_sample(x, W, inner_iterations: int = 50, epsilon_guard: float = EPSILON_GUARD):
     """Coefficient vector h >= 0 with W h ~ x, via multiplicative updates
-    with W fixed, from an all-ones start. Deterministic."""
+    with W fixed, from an all-ones start. Deterministic. Raises
+    ValueError if x has a NaN or infinite entry."""
     x = np.asarray(x, dtype=np.float64).ravel()
     W = np.asarray(W, dtype=np.float64)
     if W.shape[0] != x.size:
         raise ValueError(f"W has {W.shape[0]} rows but x has length {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError("sample has NaN or infinite entries")
     G = W.T @ W
     Wtx = W.T @ x
     h = np.ones(W.shape[1])

@@ -7,20 +7,11 @@ matching basis column against the rest of the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .init import SingularInitError, init_h_real, init_w
 from .matrices import as_data_matrix
-from .nmf import FactorizationTrace, FactorizeOptions, _alternate
-
-
-@dataclass
-class SemiBinaryModel:
-    basis: np.ndarray
-    coefficients: np.ndarray
-    trace: FactorizationTrace
+from .nmf import FactorizationTrace, FactorizeOptions, NmfModel, _alternate
 
 
 def update_h_row(X, W, H, row: int) -> np.ndarray:
@@ -47,7 +38,7 @@ def update_h_row(X, W, H, row: int) -> np.ndarray:
     return out
 
 
-def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> SemiBinaryModel:
+def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
     """Alternate the multiplicative W update with a full ascending row
     sweep of the sign rule.
 
@@ -77,4 +68,4 @@ def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> SemiBina
         return H
 
     W, H = _alternate(X, start, row_sweep, opts, trace, stable_h=True)
-    return SemiBinaryModel(basis=W, coefficients=H, trace=trace)
+    return NmfModel(basis=W, coefficients=H, trace=trace)

@@ -210,12 +210,14 @@ BLOCKS_CSV = "".join(f"{1 + j % 2}.0,{2 - j % 2}.0,{j % 2}\n" for j in range(20)
         pytest.param(BLOCKS_CSV, ["format = xml"], [], id="format-xml"),
         pytest.param(BLOCKS_CSV, ["rank = abc"], [], id="rank-abc"),
         pytest.param(BLOCKS_CSV, ["label_column = first"], [], id="label-column-first"),
+        pytest.param(BLOCKS_CSV, ["label_column = -1"], [], id="label-column--1"),
         pytest.param(BLOCKS_CSV, [], ["--emit", "yaml"], id="emit-yaml"),
         pytest.param(BLOCKS_CSV, [], ["--train-frac", "1.5"], id="train-frac-1.5"),
         pytest.param(BLOCKS_CSV, [], ["--max-iters", "0"], id="max-iters-0"),
         pytest.param(BLOCKS_CSV, [], ["--tol", "-1"], id="tol-negative"),
         pytest.param(BLOCKS_CSV, [], ["--trials", "many"], id="trials-many"),
         pytest.param("1.0,2.0,0\n1.0,oops,1\n", [], [], id="malformed-csv"),
+        pytest.param("1.0,2.0,0\n2.0,1.0,1\n", [], [], id="too-few-samples-to-split"),
     ],
 )
 def test_cli_bad_input_fails_before_any_trial(tmp_path, capsys, csv_text, config_lines, flags):

@@ -222,6 +222,18 @@ def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
         BonmfModel.load(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_model_load_rejects_non_finite_or_negative_basis(tmp_path, bad):
+    rng = np.random.default_rng(12)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=5), restarts=1)
+    model.cluster_labels = [2, 0, 1]
+    model.basis[4, 1] = bad
+    path = tmp_path / "model.json"
+    model.save(path)
+    with pytest.raises(ValueError, match="basis_b64"):
+        BonmfModel.load(path)
+
+
 def test_zero_sample_columns_noted_once_per_run():
     rng = np.random.default_rng(12)
     X = rng.random((8, 160))

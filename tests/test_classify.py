@@ -164,3 +164,30 @@ def test_perfect_clustering_training_accuracy():
     model.cluster_labels = build_label_map(model.assignments, labels)
     preds = [classify_bonmf(X[:, j], model) for j in range(40)]
     assert accuracy(preds, labels) == 1.0
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+
+@NON_FINITE
+def test_classify_bonmf_rejects_non_finite_sample(bad):
+    # cluster 0 is dead, so its score is the one the check reads
+    model = model_from(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [4, 5, 6])
+    for x in ([bad, 1.0], [1.0, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            classify_bonmf(x, model)
+
+
+@NON_FINITE
+def test_coefficient_argmax_rejects_non_finite_sample(bad):
+    model, train = nmf_toy()
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        classify_coefficient_argmax([1.0, bad], model, train)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("scheme", ["nmf", "onmf-cos"])
+def test_angle_nearest_rejects_non_finite_sample(bad, scheme):
+    model, train = nmf_toy()
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        classify_angle_nearest([bad, 1.0], model, train, scheme)

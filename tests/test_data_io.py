@@ -28,6 +28,27 @@ def test_csv_label_column_index(tmp_path):
     assert ds.class_count == 1
 
 
+@pytest.mark.parametrize("label_column", [-1, "-1", "first", 1.0, True, ""])
+def test_label_column_must_be_last_or_a_non_negative_index(tmp_path, label_column):
+    # at -1, the label column would also be read as the last feature
+    with pytest.raises(ValueError, match="label_column"):
+        DatasetSpec(path=write(tmp_path, "d.csv", "1.0,2.0,0\n"), label_column=label_column)
+
+
+def test_label_column_digits_are_an_index(tmp_path):
+    path = write(tmp_path, "d.csv", "1.0,2.0,5\n3.0,4.0,6\n")
+    spec = DatasetSpec(path=path, label_column="2")
+    assert spec == DatasetSpec(path=path, label_column=2)
+    assert spec.label_column == 2
+    assert load_dataset(spec).data.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+
+def test_label_column_past_the_row_end_carries_line_number(tmp_path):
+    path = write(tmp_path, "d.csv", "1.0,2.0,0,9\n1.0,2.0,0\n")
+    with pytest.raises(DatasetFormatError, match="d.csv:2"):
+        load_dataset(DatasetSpec(path=path, label_column=3))
+
+
 def test_csv_parse_error_carries_line_number(tmp_path):
     path = write(tmp_path, "bad.csv", "1.0,2.0,0\noops,2.0,1\n")
     with pytest.raises(DatasetFormatError, match="bad.csv:2"):
@@ -105,10 +126,3 @@ def test_split_rejects_degenerate():
     with pytest.raises(ValueError):
         train_test_split(ds, 0.0, seed=0)
 
-
-def test_stratified_split_keeps_proportions():
-    labels = np.array([0] * 50 + [1] * 50)
-    ds = LabeledDataset(np.ones((2, 100)), labels, 2)
-    tr, _ = train_test_split(ds, 0.8, seed=1, stratify=True)
-    counts = np.bincount(tr.labels, minlength=2)
-    assert abs(counts[0] - counts[1]) <= 1
