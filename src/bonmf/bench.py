@@ -32,6 +32,7 @@ from .classify import (
     classify_coefficient_argmax,
 )
 from .data_io import DatasetSpec, load_dataset, train_test_split
+from .matrices import BinaryAssignment
 from .nmf import FactorizeOptions, factorize_nmf
 from .onmf import factorize_onmf
 from .semi_binary import factorize_zhang
@@ -50,8 +51,9 @@ def _train_onmf(train: LabeledDataset, k: int, opts: FactorizeOptions):
 def _train_zhang(train: LabeledDataset, k: int, opts: FactorizeOptions):
     model = factorize_zhang(train.data, k, opts)
     # multi-hot H has no per-sample cluster, so classification goes
-    # through the cosine-to-basis route like the binary model
-    assign = update_h_cosine(train.data, model.basis)
+    # through the cosine-to-basis route like the binary model; the model
+    # keeps the labels only, as factorize_bonmf's does
+    assign = BinaryAssignment(update_h_cosine(train.data, model.basis).labels, k)
     wrapped = BonmfModel(basis=model.basis, assignments=assign, trace=model.trace)
     wrapped.cluster_labels = build_label_map(assign, train.labels)
     return wrapped

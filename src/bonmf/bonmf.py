@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .init import SingularInitError, init_h_real, init_w
+from .init import init_h_real, init_w
 from .matrices import (
     H_UPDATE_BLOCK_COLS,
     BinaryAssignment,
@@ -126,6 +126,8 @@ class BonmfModel:
         basis = np.frombuffer(raw, dtype=np.float64).reshape(m, k).copy()
         if not np.isfinite(basis).all() or (basis < 0).any():
             raise ValueError("basis_b64 holds NaN, infinite or negative entries")
+        if not basis.any():
+            raise ValueError("basis_b64 holds an all-zero basis")
         cluster_labels = payload["cluster_labels"]
         if cluster_labels is not None and len(cluster_labels) != k:
             raise ValueError(
@@ -279,18 +281,15 @@ def _stale_chunks(X, stale):
             yield cols, X[:, cols]
 
 
-def init_h(W, X, diagnostics: list | None = None, *, norms=None) -> BinaryAssignment:
-    """Binarized least-squares start for H; cosine fallback if W^T W is singular.
+def init_h(W, X, *, norms=None) -> BinaryAssignment:
+    """Binarized least-squares start for H: each sample goes to its largest
+    coefficient in the minimum-norm solution init_h_real(W, X), the lowest
+    index on exact ties. Defined for every W, rank deficient ones included.
 
     The assignment carries its cluster statistics (see BinaryAssignment);
     `norms` may hold column_norms(X) computed earlier.
     """
-    try:
-        labels = np.argmax(init_h_real(W, X), axis=0)
-    except SingularInitError:
-        if diagnostics is not None:
-            diagnostics.append("init_h_fallback_cosine")
-        return update_h_cosine(X, W, diagnostics, norms=norms)
+    labels = np.argmax(init_h_real(W, X), axis=0)
     k = np.shape(W)[1]
     return BinaryAssignment(labels, k, *cluster_sums(X, labels, k, norms))
 
@@ -348,11 +347,10 @@ def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
 
     def start():
         W = init_w(X, k, seed, norms=norms)
-        return W, init_h(W, X, trace.notes, norms=norms)
+        return W, init_h(W, X, norms=norms)
 
     def cosine_step(W, H):
-        # X is fixed, so only the first cosine assignment (init_h's fallback
-        # or the first H step) notes the zero-norm columns
+        # X is fixed, so only the first H step notes the zero-norm columns
         notes = None if isinstance(H, CosineAssignment) else trace.notes
         assign = update_h_cosine(X, W, notes, norms=norms, previous=H)
         trace.rescored_per_iteration.append(assign.rescored)

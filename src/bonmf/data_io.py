@@ -121,15 +121,21 @@ def _encode_labels(raw_labels):
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     """Parse the file described by `spec` into a samples-as-columns dataset.
 
-    Negative features either get shifted per-feature to zero minimum
-    (spec.shift_nonneg) or abort the load: every factorizer here needs
-    X >= 0.
+    A NaN or infinite feature aborts the load. Negative features either
+    get shifted per-feature to zero minimum (spec.shift_nonneg) or abort
+    the load: every factorizer here needs X >= 0.
     """
     if spec.format == "csv":
         X, raw_labels = _parse_csv(spec)
     else:
         X, raw_labels = _parse_libsvm(spec)
 
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(
+            f"{spec.path}: sample {int(np.argmin(finite))} (counted from 0) "
+            "has NaN or infinite features"
+        )
     if np.any(X < 0):
         if not spec.shift_nonneg:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Shared factor initialization used by every factorizer in this package.
 
 W columns are averages of randomly chosen high-norm data columns
-(Albright-style seeding); the real-valued H0 comes from the normal
-equations with W fixed.
+(Albright-style seeding); the real-valued H0 is the minimum-norm
+least-squares solution of W H = X with W fixed, defined for every W.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from .matrices import column_norms
 
 INIT_SAMPLE_SIZE = 10
 INIT_POOL_SIZE = 30
-
-
-class SingularInitError(np.linalg.LinAlgError):
-    """W^T W is (numerically) rank deficient; callers fall back to cosine."""
 
 
 def init_w(X, k: int, seed: int, *, norms=None) -> np.ndarray:
@@ -49,15 +45,11 @@ def init_w(X, k: int, seed: int, *, norms=None) -> np.ndarray:
 
 
 def init_h_real(W, X) -> np.ndarray:
-    """Least-squares coefficients H0 = (W^T W)^-1 W^T X.
+    """Minimum-norm least-squares coefficients H0 = pinv(W) X.
 
-    Solved as k x k normal equations shared by all columns. Raises
-    SingularInitError when W is rank deficient (e.g. duplicated columns).
+    Equals (W^T W)^-1 W^T X when W has full column rank; for a rank
+    deficient W (duplicated columns, k > m) it is still defined.
     """
     W = np.asarray(W, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    k = W.shape[1]
-    G = W.T @ W
-    if np.linalg.matrix_rank(G) < k:
-        raise SingularInitError("W^T W is singular")
-    return np.linalg.solve(G, W.T @ X)
+    return np.linalg.pinv(W) @ X

@@ -149,11 +149,7 @@ def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
 
     def start():
         W = init_w(X, k, opts.seed)
-        try:
-            return W, np.maximum(init_h_real(W, X), 0.0)
-        except np.linalg.LinAlgError:
-            trace.notes.append("init_h_fallback_random")
-            return W, np.random.default_rng(opts.seed).random((k, n))
+        return W, np.maximum(init_h_real(W, X), 0.0)
 
     W, H = _alternate(X, start, lambda W, H: update_h_dense(X, W, H), opts, trace)
     return NmfModel(basis=W, coefficients=H, trace=trace)

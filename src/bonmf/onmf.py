@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .init import SingularInitError, init_h_real, init_w
+from .init import init_h_real, init_w
 from .matrices import as_data_matrix
 from .nmf import EPSILON_GUARD, FactorizationTrace, FactorizeOptions, _alternate
 
@@ -57,13 +57,9 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
 
     def start():
         W = init_w(X, k, opts.seed)
-        try:
-            H0 = init_h_real(W, X)
-            # strictly positive start: the sqrt-ratio rule cannot revive zeros
-            return W, np.maximum(H0, 1e-3 * max(np.abs(H0).max(), 1.0))
-        except SingularInitError:
-            trace.notes.append("init_h_fallback_random")
-            return W, np.random.default_rng(opts.seed).random((k, X.shape[1])) + 0.1
+        H0 = init_h_real(W, X)
+        # strictly positive start: the sqrt-ratio rule cannot revive zeros
+        return W, np.maximum(H0, 1e-3 * max(np.abs(H0).max(), 1.0))
 
     W, H = _alternate(
         X,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .init import SingularInitError, init_h_real, init_w
+from .init import init_h_real, init_w
 from .matrices import as_data_matrix
 from .nmf import FactorizationTrace, FactorizeOptions, NmfModel, _alternate
 
@@ -55,12 +55,7 @@ def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel
 
     def start():
         W = init_w(X, k, opts.seed)
-        try:
-            return W, (init_h_real(W, X) > 0.5).astype(np.float64)
-        except SingularInitError:
-            trace.notes.append("init_h_fallback_random")
-            rng = np.random.default_rng(opts.seed)
-            return W, rng.integers(0, 2, size=(k, X.shape[1])).astype(np.float64)
+        return W, (init_h_real(W, X) > 0.5).astype(np.float64)
 
     def row_sweep(W, H):
         for row in range(k):

@@ -16,6 +16,8 @@ from bonmf.bench import (
     synth_dataset,
 )
 from bonmf.data_io import DatasetSpec
+from bonmf.matrices import BinaryAssignment
+from bonmf.nmf import FactorizeOptions
 
 
 def blocks_cfg(**kw):
@@ -218,6 +220,8 @@ BLOCKS_CSV = "".join(f"{1 + j % 2}.0,{2 - j % 2}.0,{j % 2}\n" for j in range(20)
         pytest.param(BLOCKS_CSV, [], ["--trials", "many"], id="trials-many"),
         pytest.param("1.0,2.0,0\n1.0,oops,1\n", [], [], id="malformed-csv"),
         pytest.param("1.0,2.0,0\n2.0,1.0,1\n", [], [], id="too-few-samples-to-split"),
+        pytest.param(BLOCKS_CSV.replace("2.0,1.0", "2.0,nan", 1), [], [], id="nan-feature"),
+        pytest.param(BLOCKS_CSV.replace("2.0,1.0", "inf,1.0", 1), [], [], id="inf-feature"),
     ],
 )
 def test_cli_bad_input_fails_before_any_trial(tmp_path, capsys, csv_text, config_lines, flags):
@@ -230,6 +234,13 @@ def test_cli_bad_input_fails_before_any_trial(tmp_path, capsys, csv_text, config
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out_dir.exists()
+
+
+def test_zhang_model_keeps_labels_only():
+    ds = synth_dataset("blocks", 10, 40, 2, 0.1, seed=10)
+    model = bonmf.bench._train_zhang(ds, 2, FactorizeOptions(max_iterations=5))
+    assert type(model.assignments) is BinaryAssignment
+    assert model.assignments.sums is None
 
 
 def test_build_config_defaults_are_the_dataclass_defaults():

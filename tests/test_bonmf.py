@@ -119,13 +119,13 @@ def test_init_h_scalar_case():
     assert assign.labels.tolist() == [0]
 
 
-def test_init_h_singular_falls_back_to_cosine():
-    W = np.ones((4, 2))
+def test_init_h_singular_ties_to_first_column():
+    W = np.ones((4, 2))  # duplicated columns: equal minimum-norm coefficients
     X = np.abs(np.random.default_rng(5).random((4, 6)))
-    diag = []
-    assign = init_h(W, X, diagnostics=diag)
-    assert "init_h_fallback_cosine" in diag
-    assert assign.n == 6
+    assign = init_h(W, X)
+    assert assign.labels.tolist() == [0] * 6
+    assert np.allclose(assign.sums, X @ assign.to_dense().T)
+    assert np.allclose(assign.sq_norms, [np.sum(X * X), 0.0])
 
 
 def make_blocks(m, n, k, seed, noise=0.0):
@@ -222,12 +222,20 @@ def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
         BonmfModel.load(path)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_model_load_rejects_non_finite_or_negative_basis(tmp_path, bad):
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        pytest.param(np.s_[4, 1], np.nan, id="nan"),
+        pytest.param(np.s_[4, 1], np.inf, id="inf"),
+        pytest.param(np.s_[4, 1], -1.0, id="-1.0"),
+        pytest.param(np.s_[:], 0.0, id="all-zero"),
+    ],
+)
+def test_model_load_rejects_non_finite_or_negative_basis(tmp_path, entries, bad):
     rng = np.random.default_rng(12)
     model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=5), restarts=1)
     model.cluster_labels = [2, 0, 1]
-    model.basis[4, 1] = bad
+    model.basis[entries] = bad
     path = tmp_path / "model.json"
     model.save(path)
     with pytest.raises(ValueError, match="basis_b64"):

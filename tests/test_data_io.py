@@ -75,6 +75,19 @@ def test_libsvm_rejects_zero_based_indices(tmp_path):
         load_dataset(DatasetSpec(path=path, format="libsvm"))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_features(tmp_path, bad):
+    path = write(tmp_path, "d.csv", f"1.0,2.0,0\n3.0,{bad},1\n")
+    with pytest.raises(ValueError, match=r"d\.csv: sample 1 .*NaN or infinite"):
+        load_dataset(DatasetSpec(path=path, shift_nonneg=True))
+
+
+def test_libsvm_rejects_non_finite_features(tmp_path):
+    path = write(tmp_path, "d.svm", "1 1:0.5\n0 3:nan\n1 2:1\n")
+    with pytest.raises(ValueError, match=r"d\.svm: sample 1 .*NaN or infinite"):
+        load_dataset(DatasetSpec(path=path, format="libsvm"))
+
+
 def test_negative_features_require_shift(tmp_path):
     path = write(tmp_path, "d.csv", "-1.0,2.0,0\n3.0,4.0,1\n")
     with pytest.raises(ValueError, match="negative"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bonmf.init import INIT_POOL_SIZE, INIT_SAMPLE_SIZE, SingularInitError, init_h_real, init_w
+from bonmf.init import INIT_POOL_SIZE, INIT_SAMPLE_SIZE, init_h_real, init_w
 
 
 def test_init_w_identical_columns():
@@ -54,6 +54,11 @@ def test_init_h_real_scalar():
 
 
 def test_init_h_real_singular():
-    W = np.ones((4, 2))  # duplicated columns
-    with pytest.raises(SingularInitError):
-        init_h_real(W, np.ones((4, 5)))
+    # rank deficient W: duplicated columns, then also more columns than rows
+    rng = np.random.default_rng(10)
+    for m, k in [(6, 3), (4, 7)]:
+        W = rng.random((m, k))
+        W[:, 1] = W[:, 0]
+        X = rng.random((m, 9))
+        expected = np.linalg.lstsq(W, X, rcond=None)[0]
+        assert np.allclose(init_h_real(W, X), expected, rtol=0, atol=1e-10)
