@@ -17,7 +17,7 @@ import numpy as np
 # cluster sums, the column norms and the direct binary residual).
 H_UPDATE_BLOCK_COLS = 256
 
-# The objective from cluster sums is a difference of terms of size ||X||^2;
+# The objective from X H^T is a difference of terms of size ||X||^2;
 # below this fraction of ||X||^2 the residual is summed directly instead.
 EXPANSION_FLOOR = 1e-6
 
@@ -162,19 +162,35 @@ def _add_cluster_sums(S, q, block, labels, xnorm, old=None):
     return onehot
 
 
-def frobenius_objective(X, W, H) -> float:
+def _dense_sums(X, W, H, sums=None) -> np.ndarray:
+    """X @ H.T for a dense H, or `sums` (that product computed earlier)
+    once its shape is checked against W."""
+    if sums is None:
+        return X @ H.T
+    if np.shape(sums) != W.shape:
+        raise ValueError(f"sums have shape {np.shape(sums)}, expected {W.shape}")
+    return sums
+
+
+def frobenius_objective(X, W, H, *, sums=None) -> float:
     """0.5 * ||X - W H||_F^2 with H dense or a BinaryAssignment.
 
-    For a BinaryAssignment the objective follows in O(mk) from the cluster
-    statistics S = X H^T and q:
-        0.5 * (sum(q) - 2 <S, W> + sum_c n_c ||w_c||^2),
-    with no m x n temporary. Near an exact fit that expansion cancels, so
-    below EXPANSION_FLOOR * sum(q) the residual X - W[:, labels] is summed
-    directly, block by block.
+    The objective follows from the k-column statistics S = X H^T, with no
+    m x n temporary. For a BinaryAssignment, with q the per-cluster squared
+    norms, it is O(mk):
+        0.5 * (sum(q) - 2 <S, W> + sum_c n_c ||w_c||^2).
+    For a dense H it is
+        0.5 * (||X||^2 - 2 <S, W> + <W^T W, H H^T>),
+    where `sums` may hold S computed earlier (it is X @ H.T otherwise).
+    Near an exact fit the expansion cancels, so below
+    EXPANSION_FLOOR * ||X||^2 the residual X - W H is summed directly
+    (block by block for a BinaryAssignment).
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if isinstance(H, BinaryAssignment):
+        if sums is not None:
+            raise ValueError("sums apply to a dense H; an assignment carries its own")
         if W.shape[1] != H.k:
             raise ValueError(f"W has {W.shape[1]} columns but assignment has k={H.k}")
         if X.shape != (W.shape[0], H.n):
@@ -197,6 +213,12 @@ def frobenius_objective(X, W, H) -> float:
     H = np.asarray(H, dtype=np.float64)
     if W.shape[1] != H.shape[0] or X.shape != (W.shape[0], H.shape[1]):
         raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}")
+    S = _dense_sums(X, W, H, sums)
+    x = X.ravel(order="K")  # no copy for C- or F-ordered X, unlike np.vdot
+    total = float(x @ x)
+    value = total - 2.0 * float(np.vdot(S, W)) + float(np.vdot(W.T @ W, H @ H.T))
+    if value >= EXPANSION_FLOOR * total:
+        return 0.5 * value
     R = X - W @ H
     return 0.5 * float(np.sum(R * R))
 

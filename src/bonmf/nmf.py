@@ -8,6 +8,11 @@ factorizer. Updates are the classic ratios
 
 with a small epsilon guard in each denominator so zero products never
 produce NaN while zero entries stay locked at zero.
+
+For a dense H an iteration makes two products with X: S = X H^T after the
+H step, shared by the objective and the next W update, and the H step's
+own W^T X (X^T W for the zhang sweep). The objective follows from S and
+the k x k Grams W^T W and H H^T, with no m x n residual.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .init import init_h_real, init_w
-from .matrices import BinaryAssignment, as_data_matrix, frobenius_objective
+from .matrices import BinaryAssignment, _dense_sums, as_data_matrix, frobenius_objective
 
 # added to every multiplicative-update denominator
 EPSILON_GUARD = 1e-10
@@ -55,14 +60,15 @@ class NmfModel:
     trace: FactorizationTrace
 
 
-def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
+def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD, *, sums=None) -> np.ndarray:
     """One multiplicative W update; H may be dense or a BinaryAssignment.
 
     For a BinaryAssignment, H H^T is diagonal with the cluster sizes n_c
     and X H^T is the per-cluster column sums S, so the update is
     W * S / (W * n_c + epsilon_guard). S comes from the assignment when the
     H step that made it recorded it (O(mk)), else from one blocked pass
-    over X; H is never expanded.
+    over X; H is never expanded. For a dense H, `sums` may hold X @ H.T
+    computed earlier; without it the update computes that product.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -70,6 +76,8 @@ def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
     if W.shape[0] != m:
         raise ValueError(f"W has {W.shape[0]} rows, expected {m}")
     if isinstance(H, BinaryAssignment):
+        if sums is not None:
+            raise ValueError("sums apply to a dense H; an assignment carries its own")
         if H.k != W.shape[1] or H.n != n:
             raise ValueError("assignment shape incompatible with X, W")
         numer, _ = H.statistics(X)
@@ -78,25 +86,32 @@ def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
         H = np.asarray(H, dtype=np.float64)
         if H.shape != (W.shape[1], n):
             raise ValueError(f"H has shape {H.shape}, expected {(W.shape[1], n)}")
-        numer = X @ H.T
+        numer = _dense_sums(X, W, H, sums)
         denom = W @ (H @ H.T)
     return W * numer / (denom + epsilon_guard)
 
 
+def _as_factors(X, W, H):
+    """X, W and H as float64 arrays, checked to multiply as X ~ W H."""
+    X, W, H = (np.asarray(a, dtype=np.float64) for a in (X, W, H))
+    if W.shape[0] != X.shape[0] or H.shape != (W.shape[1], X.shape[1]):
+        raise ValueError(f"shape mismatch: X {X.shape}, W {W.shape}, H {H.shape}")
+    return X, W, H
+
+
 def update_h_dense(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
     """One multiplicative update of the dense coefficient matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    if W.shape[0] != X.shape[0] or H.shape != (W.shape[1], X.shape[1]):
-        raise ValueError(
-            f"shape mismatch: X {X.shape}, W {W.shape}, H {H.shape}"
-        )
+    X, W, H = _as_factors(X, W, H)
     return H * (W.T @ X) / (W.T @ W @ H + epsilon_guard)
 
 
 def _converged(prev: float, cur: float, tolerance: float) -> bool:
     return abs(cur - prev) / max(prev, np.finfo(float).tiny) < tolerance
+
+
+def _sums_of(X, H):
+    """X @ H.T for a dense H; None for a BinaryAssignment, which carries its own."""
+    return None if isinstance(H, BinaryAssignment) else X @ H.T
 
 
 def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False):
@@ -106,19 +121,23 @@ def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False)
     multiplicative W update and `h_step(W, H)`, records the objective in
     `trace` and calls `on_iteration(iteration, W, H)` if given. It stops at
     opts.max_iterations or when the relative objective change is below
-    opts.tolerance and, with `stable_h`, H is unchanged. update_w,
-    frobenius_objective and the H step are looked up at call time.
+    opts.tolerance and, with `stable_h`, H is unchanged. For a dense H, one
+    X @ H.T per H feeds both the objective and the next W update (a
+    BinaryAssignment carries its own sums). update_w, frobenius_objective
+    and the H step are looked up at call time.
     """
     W, H = start()
+    sums = _sums_of(X, H)
     prev = None
     for it in range(opts.max_iterations):
-        W = update_w(X, W, H)
+        W = update_w(X, W, H, sums=sums)
         H_new = h_step(W, H)
         stable = not stable_h or np.array_equal(
             getattr(H_new, "labels", H_new), getattr(H, "labels", H)
         )
         H = H_new  # free the previous H before the objective runs
-        obj = frobenius_objective(X, W, H)
+        sums = _sums_of(X, H)
+        obj = frobenius_objective(X, W, H, sums=sums)
         trace.objective_per_iteration.append(obj)
         if on_iteration is not None:
             on_iteration(it, W, H)

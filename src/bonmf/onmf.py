@@ -20,7 +20,7 @@ import numpy as np
 
 from .init import init_h_real, init_w
 from .matrices import as_data_matrix
-from .nmf import EPSILON_GUARD, FactorizationTrace, FactorizeOptions, _alternate
+from .nmf import EPSILON_GUARD, FactorizationTrace, FactorizeOptions, _alternate, _as_factors
 
 
 @dataclass
@@ -39,6 +39,8 @@ def orthogonality_residual(H) -> float:
 
 
 def update_h_orthogonal(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.ndarray:
+    """One orthogonality-preserving multiplicative update of H."""
+    X, W, H = _as_factors(X, W, H)
     WtX = W.T @ X
     denom = (WtX @ H.T) @ H + epsilon_guard
     return H * np.sqrt(WtX / denom)

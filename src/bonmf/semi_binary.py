@@ -38,10 +38,27 @@ def update_h_row(X, W, H, row: int) -> np.ndarray:
     return out
 
 
+def _sweep(X, W, H) -> np.ndarray:
+    """k successive update_h_row calls, rows in ascending order, from one
+    X^T W and G = W^T W: row r's score is
+    (X^T W)[:, r] - G[r, r]/2 - H'^T G'[:, r] over the current H, and the
+    rows of one copy of H are replaced in place."""
+    XtW = X.T @ W
+    G = W.T @ W
+    H = H.copy()
+    for row in range(W.shape[1]):
+        g = G[:, row].copy()
+        g[row] = 0.0  # drops H[row] from H^T g, leaving H'^T G'[:, row]
+        H[row] = XtW[:, row] - 0.5 * G[row, row] - H.T @ g > 0
+    return H
+
+
 def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
     """Alternate the multiplicative W update with a full ascending row
     sweep of the sign rule.
 
+    The sweep reads X once (one X^T W product) and updates the rows of one
+    copy of H in place; it gives the H of k successive update_h_row calls.
     H starts from the least-squares H0 thresholded at 1/2. Stops at
     max_iterations or when H is unchanged and the relative objective
     change is below tolerance.
@@ -57,10 +74,5 @@ def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel
         W = init_w(X, k, opts.seed)
         return W, (init_h_real(W, X) > 0.5).astype(np.float64)
 
-    def row_sweep(W, H):
-        for row in range(k):
-            H = update_h_row(X, W, H, row)
-        return H
-
-    W, H = _alternate(X, start, row_sweep, opts, trace, stable_h=True)
+    W, H = _alternate(X, start, lambda W, H: _sweep(X, W, H), opts, trace, stable_h=True)
     return NmfModel(basis=W, coefficients=H, trace=trace)

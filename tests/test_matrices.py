@@ -109,3 +109,44 @@ def test_as_data_matrix_rejects_negative_and_empty():
         as_data_matrix([[1.0, -0.5]])
     with pytest.raises(ValueError):
         as_data_matrix(np.ones(3))
+
+
+def random_dense_problem(rng):
+    m, n, k = (int(v) for v in rng.integers(1, 40, size=3))
+    X = rng.random((m, n)) * rng.choice([1e-3, 1.0, 1e3])
+    X[:, rng.random(n) < 0.2] = 0.0
+    if rng.random() < 0.5:
+        X = np.asfortranarray(X)
+    return X, rng.random((m, k)), rng.random((k, n))
+
+
+def test_objective_dense_expansion_matches_residual():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        X, W, H = random_dense_problem(rng)
+        R = X - W @ H
+        assert frobenius_objective(X, W, H) == pytest.approx(0.5 * float(np.sum(R * R)), rel=1e-9)
+
+
+def test_objective_dense_exact_fit_takes_direct_residual():
+    rng = np.random.default_rng(4)
+    for order in ("C", "F"):
+        for _ in range(20):
+            _, W, H = random_dense_problem(rng)
+            X = np.asarray(W @ H, order=order)
+            assert frobenius_objective(X, W, H) == 0.0
+
+
+def test_objective_dense_given_sums_is_bit_identical():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        X, W, H = random_dense_problem(rng)
+        assert frobenius_objective(X, W, H, sums=X @ H.T) == frobenius_objective(X, W, H)
+
+
+def test_objective_sums_checked():
+    X, W, H = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4))
+    with pytest.raises(ValueError, match="sums have shape"):
+        frobenius_objective(X, W, H, sums=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="dense H"):
+        frobenius_objective(X, W, BinaryAssignment([0, 1, 0, 1], k=2), sums=X @ H.T)

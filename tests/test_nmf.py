@@ -117,3 +117,19 @@ def test_options_validation():
         FactorizeOptions(max_iterations=0)
     with pytest.raises(ValueError):
         FactorizeOptions(tolerance=-1)
+
+
+def test_update_w_given_sums_is_bit_identical():
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        m, n, k = (int(v) for v in rng.integers(1, 30, size=3))
+        X, W, H = rng.random((m, n)), rng.random((m, k)), rng.random((k, n))
+        assert np.array_equal(update_w(X, W, H, sums=X @ H.T), update_w(X, W, H))
+
+
+def test_update_w_sums_checked():
+    X, W, H = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4))
+    with pytest.raises(ValueError, match="sums have shape"):
+        update_w(X, W, H, sums=np.ones((3, 4)))
+    with pytest.raises(ValueError, match="dense H"):
+        update_w(X, W, BinaryAssignment([0, 1, 0, 1], k=2), sums=X @ H.T)

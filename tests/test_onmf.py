@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bonmf import FactorizeOptions, encode_sample, factorize_onmf
-from bonmf.onmf import orthogonality_residual
+from bonmf.onmf import orthogonality_residual, update_h_orthogonal
 
 
 def test_identity_instance_becomes_orthogonal():
@@ -68,3 +68,13 @@ def test_encode_sample_argmax_scale_equivariant():
     x = rng.random(6)
     for lam in (0.01, 3.0, 250.0):
         assert int(np.argmax(encode_sample(lam * x, W))) == int(np.argmax(encode_sample(x, W)))
+
+
+def test_update_h_orthogonal_shape_mismatch():
+    rng = np.random.default_rng(4)
+    X, W = rng.random((5, 6)), rng.random((5, 3))
+    for H in (rng.random((1, 6)), rng.random((3, 5)), rng.random(6)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            update_h_orthogonal(X, W, H)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        update_h_orthogonal(X, rng.random((4, 3)), rng.random((3, 6)))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bonmf import FactorizeOptions, factorize_zhang, update_h_row
+from bonmf import FactorizeOptions, factorize_zhang, semi_binary, update_h_row
+from bonmf.semi_binary import _sweep
 
 
 def brute_force_row(X, W, H, row):
@@ -86,3 +89,57 @@ def test_factorize_h_stays_binary():
     model = factorize_zhang(rng.random((8, 10)), 3, FactorizeOptions(max_iterations=25, seed=1))
     assert set(np.unique(model.coefficients)) <= {0.0, 1.0}
     assert np.all(model.basis >= 0)
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def row_by_row(X, W, H):
+    for row in range(W.shape[1]):
+        H = update_h_row(X, W, H, row)
+    return H
+
+
+@st.composite
+def small_integer_sweeps(draw):
+    """(X, W, H) with small-integer X and W, so every score is computed
+    exactly and many land on 0, where the `> 0` rule decides; some basis
+    columns dead, k from 1 to above m, C or F order."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, m + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(1, 4)), (m, n)).astype(float)
+    W = rng.integers(0, 3, (m, k)).astype(float)
+    W[:, rng.random(k) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    H = rng.integers(0, 2, (k, n)).astype(float)
+    if draw(st.booleans()):
+        X, W, H = (np.asfortranarray(a) for a in (X, W, H))
+    return X, W, H
+
+
+# row 0 scores 6 - 2 - 4 = 0 and drops to 0; row 1 then scores 4 (not 0),
+# so the sweep must read the row it has just replaced
+@example((np.array([[3.0]]), np.array([[2.0, 2.0]]), np.ones((2, 1))))
+@example((np.array([[1.0]]), np.array([[2.0]]), np.zeros((1, 1))))
+@PROPERTY
+@given(small_integer_sweeps())
+def test_one_pass_sweep_equals_row_by_row(problem):
+    X, W, H = problem
+    before = H.copy()
+    got = _sweep(X, W, H)
+    assert np.array_equal(got, row_by_row(X, W, H))
+    assert np.array_equal(H, before)  # the input H is left as it was
+
+
+def test_factorize_zhang_equals_row_by_row_alternation(monkeypatch):
+    rng = np.random.default_rng(6)
+    X = rng.random((30, 25))
+    X[:, :3] = 0.0
+    opts = FactorizeOptions(max_iterations=15, tolerance=0.0, seed=2)
+    fast = factorize_zhang(X, 6, opts)
+    monkeypatch.setattr(semi_binary, "_sweep", row_by_row)
+    slow = factorize_zhang(X, 6, opts)
+    assert np.array_equal(fast.basis, slow.basis)
+    assert np.array_equal(fast.coefficients, slow.coefficients)
+    assert fast.trace.objective_per_iteration == slow.trace.objective_per_iteration
