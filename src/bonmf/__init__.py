@@ -16,8 +16,6 @@ from .init import init_w
 from .matrices import (
     BinaryAssignment,
     DegenerateModelError,
-    DegenerateVectorError,
-    cosine_similarity,
     frobenius_objective,
 )
 from .nmf import (
@@ -36,7 +34,6 @@ __all__ = [
     "BonmfModel",
     "DatasetSpec",
     "DegenerateModelError",
-    "DegenerateVectorError",
     "FactorizationTrace",
     "FactorizeOptions",
     "LabeledDataset",
@@ -47,7 +44,6 @@ __all__ = [
     "classify_angle_nearest",
     "classify_bonmf",
     "classify_coefficient_argmax",
-    "cosine_similarity",
     "encode_sample",
     "factorize_bonmf",
     "factorize_nmf",

@@ -1,14 +1,17 @@
-"""Binary orthogonal NMF: alternating multiplicative W update and
+"""Binary orthogonal NMF: alternating least-squares W step and
 cosine-argmax binary H update.
 
 The coefficient matrix is never materialized: each sample column gets the
 index of the basis column it forms the smallest angle with, and the
 one-hot structure (single 1 per column, orthogonal rows) holds by
 construction. The cosine H step walks X in blocks of H_UPDATE_BLOCK_COLS
-columns and, besides the labels, adds up each cluster's column sum and
-squared norm (the concept vectors of spherical k-means). The next W update
-and the objective need only those, so they run in O(mk), and no step
-allocates an m x n intermediate.
+columns and, besides the labels, adds up each cluster's column sum S_c and
+squared norm (the concept vectors of spherical k-means). For a fixed
+one-hot H the least-squares W is the mean of each cluster, S_c / n_c, and
+the objective follows from the same sums, so both run in O(mk), and no
+step allocates an m x n intermediate. With that W step bonmf is spherical
+k-means on the raw columns (Dhillon and Modha 2001): J = sum_c ||S_c||
+never falls.
 
 The H step also records each sample's cosine lead over the runner-up. In
 the next iteration a sample whose lead exceeds the drift of the basis
@@ -30,6 +33,7 @@ import numpy as np
 
 from .init import init_h_real, init_w
 from .matrices import (
+    EXPANSION_FLOOR,
     H_UPDATE_BLOCK_COLS,
     BinaryAssignment,
     DegenerateModelError,
@@ -64,28 +68,22 @@ class CosineAssignment(BinaryAssignment):
     and what the next call needs to rescore only the samples whose label
     can change. `margins` (n) bounds each sample's cosine lead over the
     runner-up from below, `unit_basis` (m x k) is the normalized basis it
-    scored against, `zero_counts` (m x k) counts how many members of each
-    cluster have a zero in each feature (None if X has no zero entry) and
-    `rescored` is how many samples it scored."""
+    scored against and `rescored` is how many samples it scored."""
 
     margins: np.ndarray = field(repr=False)
     unit_basis: np.ndarray = field(repr=False)
-    zero_counts: np.ndarray | None = field(repr=False)
     rescored: int
 
     def __post_init__(self):
         super().__post_init__()
-        shape = np.shape(self.sums)
         if (
             self.sums is None
             or np.shape(self.margins) != (self.n,)
-            or np.shape(self.unit_basis) != shape
-            or (self.zero_counts is not None and np.shape(self.zero_counts) != shape)
+            or np.shape(self.unit_basis) != np.shape(self.sums)
         ):
             raise ValueError(
-                f"margins need statistics, {self.n} entries, an m x {self.k} unit basis "
-                f"and zero counts, got {np.shape(self.margins)}, {np.shape(self.unit_basis)} "
-                f"and {np.shape(self.zero_counts)}"
+                f"margins need statistics, {self.n} entries and an m x {self.k} unit basis, "
+                f"got {np.shape(self.margins)} and {np.shape(self.unit_basis)}"
             )
 
 
@@ -115,9 +113,16 @@ class BonmfModel:
 
     @classmethod
     def load(cls, path) -> "BonmfModel":
+        """Inverse of save. Raises ValueError naming the field unless m and k
+        are positive integers, the assignments integers in [0, k), the
+        cluster labels (if any) k non-negative integers and the basis m x k
+        finite, non-negative and not all zero."""
         with open(path) as fh:
             payload = json.load(fh)
         m, k = payload["m"], payload["k"]
+        for name, value in (("m", m), ("k", k)):
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         raw = base64.b64decode(payload["basis_b64"])
         if len(raw) != 8 * m * k:
             raise ValueError(
@@ -128,17 +133,28 @@ class BonmfModel:
             raise ValueError("basis_b64 holds NaN, infinite or negative entries")
         if not basis.any():
             raise ValueError("basis_b64 holds an all-zero basis")
+        assignments = payload["assignments"]
+        if not isinstance(assignments, list) or not all(
+            _is_int(c) and 0 <= c < k for c in assignments
+        ):
+            raise ValueError(f"assignments must be a list of integers in [0, {k})")
         cluster_labels = payload["cluster_labels"]
-        if cluster_labels is not None and len(cluster_labels) != k:
-            raise ValueError(
-                f"cluster_labels has {len(cluster_labels)} entries, expected k = {k}"
-            )
+        if cluster_labels is not None:
+            if not isinstance(cluster_labels, list) or len(cluster_labels) != k:
+                raise ValueError(f"cluster_labels must be a list of k = {k} entries")
+            if not all(_is_int(c) and c >= 0 for c in cluster_labels):
+                raise ValueError("cluster_labels must be non-negative integers")
         return cls(
             basis=basis,
-            assignments=BinaryAssignment(np.array(payload["assignments"]), k),
+            assignments=BinaryAssignment(np.array(assignments, dtype=np.intp), k),
             trace=FactorizationTrace(),
             cluster_labels=cluster_labels,
         )
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def update_h_cosine(
@@ -165,8 +181,8 @@ def update_h_cosine(
     becomes its recorded lead. Only the other samples are rescored (with
     the rest of their block if it is at least half stale) and moved between
     the cluster sums; the labels are those of a fresh call. After the moves
-    a sum whose cluster members are all zero in that feature is set back to
-    exactly zero, as a fresh call computes it, and a sum that rounding took
+    the sums of a cluster left with no nonzero member (an emptied one
+    included) are set back to exactly zero, and a sum that rounding took
     below zero is set to zero.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -201,7 +217,7 @@ def update_h_cosine(
     if fresh:
         labels = np.zeros(n, dtype=np.intp)
         margins = np.empty(n)
-        sums, sq_norms, zero_counts = np.zeros((m, k)), np.zeros(k), None
+        sums, sq_norms = np.zeros((m, k)), np.zeros(k)
         stale = np.ones(n, dtype=bool)
     else:
         # a column that dies or comes back drifts by 1, which puts every
@@ -211,7 +227,6 @@ def update_h_cosine(
         stale = margins <= MARGIN_SLACK
         labels = previous.labels.copy()
         sums, sq_norms = previous.sums.copy(), previous.sq_norms.copy()
-        zero_counts = None if previous.zero_counts is None else previous.zero_counts.copy()
 
     rescored = 0
     for cols, chunk in _stale_chunks(X, stale):
@@ -231,12 +246,7 @@ def update_h_cosine(
         lead[zero_cols] = np.inf
         old = None if fresh else labels[cols]
         if old is None or (old != lab).any():
-            onehot = _add_cluster_sums(sums, sq_norms, chunk, lab, xnorm, old)
-            if not chunk.all():
-                if zero_counts is None:
-                    zero_counts = np.zeros((m, k))
-                # a bool @ float product does not reach BLAS: about 5x slower
-                zero_counts += (chunk == 0.0).astype(np.float64) @ onehot
+            _add_cluster_sums(sums, sq_norms, chunk, lab, xnorm, old)
         labels[cols] = lab
         margins[cols] = lead
         rescored += lab.size
@@ -245,19 +255,18 @@ def update_h_cosine(
                 f"zero_norm_sample_column:{i}" for i in np.arange(n)[cols][zero_cols]
             )
     if rescored and not fresh:
-        # moves leave rounding residue where every member of a cluster has a
-        # zero entry (an emptied cluster included); those sums must be
-        # exactly zero, as the W step locks a basis entry at zero only then
-        zeros = 0 if zero_counts is None else zero_counts
-        exact = np.broadcast_to(zeros == np.bincount(labels, minlength=k), sums.shape)
-        sums[exact] = 0.0
-        sq_norms[exact.all(axis=0)] = 0.0
-        # a sum whose members are tiny but not zero can round below zero,
-        # which the W step would turn into a negative basis entry
+        # moves leave rounding residue in the sums of a cluster they left
+        # with zero columns only, or empty; its mean, the W step's basis
+        # column, must be exactly zero, or it would score as a live column
+        hollow = np.bincount(labels[norms > 0.0], minlength=k) == 0
+        sums[:, hollow] = 0.0
+        sq_norms[hollow] = 0.0
+        # a sum whose members are tiny can round below zero, which the W
+        # step would turn into a negative basis entry
         np.maximum(sums, 0.0, out=sums)
         np.maximum(sq_norms, 0.0, out=sq_norms)
     return CosineAssignment(labels, k, sums, sq_norms, margins=margins, unit_basis=Wn,
-                            zero_counts=zero_counts, rescored=rescored)
+                            rescored=rescored)
 
 
 def _stale_chunks(X, stale):
@@ -294,6 +303,35 @@ def init_h(W, X, *, norms=None) -> BinaryAssignment:
     return BinaryAssignment(labels, k, *cluster_sums(X, labels, k, norms))
 
 
+def _cluster_means(H) -> np.ndarray:
+    """The least-squares W for the one-hot H: each cluster's mean S_c / n_c,
+    0 for an empty cluster (whose sums are 0)."""
+    return H.sums / np.maximum(H.cluster_sizes(), 1)
+
+
+def _objective(X, W, H) -> float:
+    """0.5 * ||X - W H||_F^2 for the one-hot H, in O(mk) from its sums S and
+    per-cluster squared norms q:
+        0.5 * (sum(q) - 2 <S, W> + sum_c n_c ||w_c||^2).
+    Near an exact fit the expansion cancels, so below
+    EXPANSION_FLOOR * sum(q) the residual is summed directly, block by block.
+    """
+    total = float(H.sq_norms.sum())
+    value = (
+        total
+        - 2.0 * float(np.vdot(H.sums, W))
+        + float(H.cluster_sizes() @ np.einsum("ij,ij->j", W, W))
+    )
+    if value >= EXPANSION_FLOOR * total:
+        return 0.5 * value
+    value = 0.0
+    for start in range(0, H.n, H_UPDATE_BLOCK_COLS):
+        stop = start + H_UPDATE_BLOCK_COLS
+        R = X[:, start:stop] - W[:, H.labels[start:stop]]
+        value += float(np.sum(R * R))
+    return 0.5 * value
+
+
 def factorize_bonmf(
     X,
     k: int,
@@ -303,8 +341,9 @@ def factorize_bonmf(
 ) -> BonmfModel:
     """Alternating binary orthogonal factorization of X.
 
-    Each iteration applies the multiplicative W update (with the diagonal
-    H H^T shortcut) and then reassigns every sample by cosine argmax.
+    Each iteration sets W to the cluster means, the least-squares W for
+    the current one-hot H, and then reassigns every sample by cosine
+    argmax.
     Stops at max_iterations, or when assignments are unchanged between
     consecutive iterations and the relative objective change is below
     tolerance.
@@ -356,6 +395,9 @@ def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
         trace.rescored_per_iteration.append(assign.rescored)
         return assign
 
-    W, assign = _alternate(X, start, cosine_step, opts, trace, on_iteration, stable_h=True)
+    W, assign = _alternate(
+        X, start, cosine_step, opts, trace, on_iteration, stable_h=True,
+        w_step=lambda W, H: _cluster_means(H), objective=lambda W, H: _objective(X, W, H),
+    )
     # the model keeps the labels only, not the statistics and bounds
     return BonmfModel(basis=W, assignments=BinaryAssignment(assign.labels, k), trace=trace)

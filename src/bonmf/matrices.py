@@ -1,5 +1,5 @@
-"""Dense matrix substrate: validation, column norms, per-cluster sums,
-Frobenius objective, cosine similarity.
+"""Dense matrix substrate: validation, column norms, per-cluster sums and
+the Frobenius objective of a dense factorization.
 
 Samples are columns everywhere in this package (X is m features by n
 samples), so per-column slicing is the hot path. All arrays are float64.
@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Columns per block of every blocked pass over X (the cosine H step, the
-# cluster sums, the column norms and the direct binary residual).
+# cluster sums, the column norms and bonmf's direct residual).
 H_UPDATE_BLOCK_COLS = 256
 
 # The objective from X H^T is a difference of terms of size ||X||^2;
 # below this fraction of ||X||^2 the residual is summed directly instead.
 EXPANSION_FLOOR = 1e-6
-
-
-class DegenerateVectorError(ValueError):
-    """A vector with zero norm was passed where a direction is required."""
 
 
 class DegenerateModelError(RuntimeError):
@@ -53,9 +49,9 @@ class BinaryAssignment:
 
     `sums` (m x k, X @ H.T) and `sq_norms` (k, squared column norms of X
     summed per cluster) optionally carry the statistics of the X the
-    assignment was computed from; `statistics` returns them instead of
-    reading X again. The cosine H step returns a subclass that also holds
-    its rescoring state (CosineAssignment in bonmf.bonmf).
+    assignment was computed from; bonmf's W step and objective read them
+    instead of X. The cosine H step returns a subclass that also holds its
+    rescoring state (CosineAssignment in bonmf.bonmf).
 
     Equality compares `k` and the labels only; the class is unhashable.
     """
@@ -106,15 +102,6 @@ class BinaryAssignment:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
-    def statistics(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(X @ H.T, per-cluster squared norms): the stored ones if present,
-        else one blocked pass over X."""
-        if self.sums is None:
-            return cluster_sums(X, self.labels, self.k)
-        if self.sums.shape[0] != X.shape[0]:
-            raise ValueError(f"sums have {self.sums.shape[0]} rows, X has {X.shape[0]}")
-        return self.sums, self.sq_norms
-
 
 def column_norms(X) -> np.ndarray:
     """np.linalg.norm(X, axis=0), bit for bit, without its m x n temporary."""
@@ -147,7 +134,7 @@ def cluster_sums(X, labels, k: int, norms=None) -> tuple[np.ndarray, np.ndarray]
 def _add_cluster_sums(S, q, block, labels, xnorm, old=None):
     """Add one column block's share to the cluster sums S and q in place;
     with `old`, move the block's columns from the clusters `old` to
-    `labels` instead. Returns the one-hot (difference) matrix applied."""
+    `labels` instead."""
     k = S.shape[1]
     rows = np.arange(labels.size)
     weights = xnorm * xnorm
@@ -159,7 +146,6 @@ def _add_cluster_sums(S, q, block, labels, xnorm, old=None):
         share -= np.bincount(old, weights=weights, minlength=k)
     S += block @ onehot
     q += share
-    return onehot
 
 
 def _dense_sums(X, W, H, sums=None) -> np.ndarray:
@@ -173,44 +159,14 @@ def _dense_sums(X, W, H, sums=None) -> np.ndarray:
 
 
 def frobenius_objective(X, W, H, *, sums=None) -> float:
-    """0.5 * ||X - W H||_F^2 with H dense or a BinaryAssignment.
-
-    The objective follows from the k-column statistics S = X H^T, with no
-    m x n temporary. For a BinaryAssignment, with q the per-cluster squared
-    norms, it is O(mk):
-        0.5 * (sum(q) - 2 <S, W> + sum_c n_c ||w_c||^2).
-    For a dense H it is
+    """0.5 * ||X - W H||_F^2 for a dense H, from the k-column statistics
+    S = X H^T and the k x k Grams, with no m x n temporary:
         0.5 * (||X||^2 - 2 <S, W> + <W^T W, H H^T>),
     where `sums` may hold S computed earlier (it is X @ H.T otherwise).
     Near an exact fit the expansion cancels, so below
-    EXPANSION_FLOOR * ||X||^2 the residual X - W H is summed directly
-    (block by block for a BinaryAssignment).
+    EXPANSION_FLOOR * ||X||^2 the residual X - W H is summed directly.
     """
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if isinstance(H, BinaryAssignment):
-        if sums is not None:
-            raise ValueError("sums apply to a dense H; an assignment carries its own")
-        if W.shape[1] != H.k:
-            raise ValueError(f"W has {W.shape[1]} columns but assignment has k={H.k}")
-        if X.shape != (W.shape[0], H.n):
-            raise ValueError(f"shape mismatch: X {X.shape} vs W H ({W.shape[0]}, {H.n})")
-        S, q = H.statistics(X)
-        total = float(q.sum())
-        value = (
-            total
-            - 2.0 * float(np.vdot(S, W))
-            + float(H.cluster_sizes() @ np.einsum("ij,ij->j", W, W))
-        )
-        if value >= EXPANSION_FLOOR * total:
-            return 0.5 * value
-        value = 0.0
-        for start in range(0, H.n, H_UPDATE_BLOCK_COLS):
-            stop = start + H_UPDATE_BLOCK_COLS
-            R = X[:, start:stop] - W[:, H.labels[start:stop]]
-            value += float(np.sum(R * R))
-        return 0.5 * value
-    H = np.asarray(H, dtype=np.float64)
+    X, W, H = (np.asarray(a, dtype=np.float64) for a in (X, W, H))
     if W.shape[1] != H.shape[0] or X.shape != (W.shape[0], H.shape[1]):
         raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}")
     S = _dense_sums(X, W, H, sums)
@@ -221,20 +177,3 @@ def frobenius_objective(X, W, H, *, sums=None) -> float:
         return 0.5 * value
     R = X - W @ H
     return 0.5 * float(np.sum(R * R))
-
-
-def cosine_similarity(x, w) -> float:
-    """Cosine of the angle between two vectors of equal length.
-
-    Raises DegenerateVectorError if either vector has zero norm; callers
-    apply their own zero-column policy.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if x.size != w.size:
-        raise ValueError(f"vector lengths differ: {x.size} vs {w.size}")
-    nx = np.linalg.norm(x)
-    nw = np.linalg.norm(w)
-    if nx == 0.0 or nw == 0.0:
-        raise DegenerateVectorError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(x, w) / (nx * nw))

@@ -1,13 +1,15 @@
-"""Lee-Seung multiplicative-update NMF.
+"""Lee-Seung multiplicative-update NMF and the alternation loop every
+factorizer runs.
 
-Provides the baseline factorizer and the W update shared with the binary
-factorizer. Updates are the classic ratios
+Provides the baseline factorizer and the W update shared by the dense
+baselines. Updates are the classic ratios
 
     W_ia <- W_ia (X H^T)_ia / (W H H^T)_ia
     H_bj <- H_bj (W^T X)_bj / (W^T W H)_bj
 
 with a small epsilon guard in each denominator so zero products never
-produce NaN while zero entries stay locked at zero.
+produce NaN while zero entries stay locked at zero. bonmf passes the loop
+its own closed-form W step and objective instead.
 
 For a dense H an iteration makes two products with X: S = X H^T after the
 H step, shared by the objective and the next W update, and the H step's
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .init import init_h_real, init_w
-from .matrices import BinaryAssignment, _dense_sums, as_data_matrix, frobenius_objective
+from .matrices import _dense_sums, as_data_matrix, frobenius_objective
 
 # added to every multiplicative-update denominator
 EPSILON_GUARD = 1e-10
@@ -61,34 +63,10 @@ class NmfModel:
 
 
 def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD, *, sums=None) -> np.ndarray:
-    """One multiplicative W update; H may be dense or a BinaryAssignment.
-
-    For a BinaryAssignment, H H^T is diagonal with the cluster sizes n_c
-    and X H^T is the per-cluster column sums S, so the update is
-    W * S / (W * n_c + epsilon_guard). S comes from the assignment when the
-    H step that made it recorded it (O(mk)), else from one blocked pass
-    over X; H is never expanded. For a dense H, `sums` may hold X @ H.T
-    computed earlier; without it the update computes that product.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    m, n = X.shape
-    if W.shape[0] != m:
-        raise ValueError(f"W has {W.shape[0]} rows, expected {m}")
-    if isinstance(H, BinaryAssignment):
-        if sums is not None:
-            raise ValueError("sums apply to a dense H; an assignment carries its own")
-        if H.k != W.shape[1] or H.n != n:
-            raise ValueError("assignment shape incompatible with X, W")
-        numer, _ = H.statistics(X)
-        denom = W * H.cluster_sizes()
-    else:
-        H = np.asarray(H, dtype=np.float64)
-        if H.shape != (W.shape[1], n):
-            raise ValueError(f"H has shape {H.shape}, expected {(W.shape[1], n)}")
-        numer = _dense_sums(X, W, H, sums)
-        denom = W @ (H @ H.T)
-    return W * numer / (denom + epsilon_guard)
+    """One multiplicative W update for a dense H. `sums` may hold X @ H.T
+    computed earlier; without it the update computes that product."""
+    X, W, H = _as_factors(X, W, H)
+    return W * _dense_sums(X, W, H, sums) / (W @ (H @ H.T) + epsilon_guard)
 
 
 def _as_factors(X, W, H):
@@ -109,35 +87,37 @@ def _converged(prev: float, cur: float, tolerance: float) -> bool:
     return abs(cur - prev) / max(prev, np.finfo(float).tiny) < tolerance
 
 
-def _sums_of(X, H):
-    """X @ H.T for a dense H; None for a BinaryAssignment, which carries its own."""
-    return None if isinstance(H, BinaryAssignment) else X @ H.T
-
-
-def _alternate(X, start, h_step, opts, trace, on_iteration=None, stable_h=False):
+def _alternate(
+    X, start, h_step, opts, trace, on_iteration=None, stable_h=False, w_step=None, objective=None
+):
     """The alternation every factorizer runs; returns the final (W, H).
 
-    `start()` gives the initial (W, H). Each iteration applies the
-    multiplicative W update and `h_step(W, H)`, records the objective in
-    `trace` and calls `on_iteration(iteration, W, H)` if given. It stops at
+    `start()` gives the initial (W, H). Each iteration applies the W step
+    and `h_step(W, H)`, records the objective in `trace` and calls
+    `on_iteration(iteration, W, H)` if given. It stops at
     opts.max_iterations or when the relative objective change is below
-    opts.tolerance and, with `stable_h`, H is unchanged. For a dense H, one
-    X @ H.T per H feeds both the objective and the next W update (a
-    BinaryAssignment carries its own sums). update_w, frobenius_objective
-    and the H step are looked up at call time.
+    opts.tolerance and, with `stable_h`, H is unchanged.
+
+    `w_step(W, H)` and `objective(W, H)` are given together or not at all.
+    Without them H is dense: the W step is the multiplicative update_w, and
+    one X @ H.T per H feeds both frobenius_objective and the next W step.
+    update_w, frobenius_objective and the H step are looked up at call time.
     """
     W, H = start()
-    sums = _sums_of(X, H)
+    sums = None  # X @ H.T of a dense H, taken with its objective
     prev = None
     for it in range(opts.max_iterations):
-        W = update_w(X, W, H, sums=sums)
+        W = update_w(X, W, H, sums=sums) if w_step is None else w_step(W, H)
         H_new = h_step(W, H)
         stable = not stable_h or np.array_equal(
             getattr(H_new, "labels", H_new), getattr(H, "labels", H)
         )
         H = H_new  # free the previous H before the objective runs
-        sums = _sums_of(X, H)
-        obj = frobenius_objective(X, W, H, sums=sums)
+        if objective is None:
+            sums = X @ H.T
+            obj = frobenius_objective(X, W, H, sums=sums)
+        else:
+            obj = objective(W, H)
         trace.objective_per_iteration.append(obj)
         if on_iteration is not None:
             on_iteration(it, W, H)

@@ -7,7 +7,6 @@ from bonmf import (
     BinaryAssignment,
     DegenerateModelError,
     FactorizeOptions,
-    cosine_similarity,
     factorize_bonmf,
     init_h,
     update_h_cosine,
@@ -15,27 +14,7 @@ from bonmf import (
 from bonmf.bonmf import RESTART_TIE_RTOL, BonmfModel
 from bonmf.nmf import FactorizationTrace
 
-
-def brute_force_assignments(X, W):
-    """Independent oracle: all k*n cosines via explicit loops, argmax with
-    lowest-index tie-break, zero X columns to cluster 0, zero W columns
-    never win."""
-    m, n = X.shape
-    k = W.shape[1]
-    labels = []
-    for i in range(n):
-        x = X[:, i]
-        if np.linalg.norm(x) == 0:
-            labels.append(0)
-            continue
-        best, best_sim = 0, -np.inf
-        for j in range(k):
-            w = W[:, j]
-            sim = -np.inf if np.linalg.norm(w) == 0 else cosine_similarity(x, w)
-            if sim > best_sim:
-                best, best_sim = j, sim
-        labels.append(best)
-    return np.array(labels)
+from reference import brute_force_assignments
 
 
 def test_update_h_cosine_identity():
@@ -219,6 +198,34 @@ def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
     model.save(path)
     path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
     with pytest.raises(ValueError, match=field):
+        BonmfModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        pytest.param("assignments", {"assignments": [0.7, 1.2, 1]}, id="float-assignments"),
+        pytest.param("assignments", {"assignments": [True, 0, 1]}, id="bool-assignment"),
+        pytest.param("assignments", {"assignments": [0, 3, 1]}, id="assignment-k"),
+        pytest.param("assignments", {"assignments": [0, -1, 1]}, id="negative-assignment"),
+        pytest.param("assignments", {"assignments": 1}, id="assignments-not-a-list"),
+        pytest.param("cluster_labels", {"cluster_labels": [0.5, -3, 1]}, id="float-label"),
+        pytest.param("cluster_labels", {"cluster_labels": [2, -3, 1]}, id="negative-label"),
+        pytest.param("cluster_labels", {"cluster_labels": [2, False, 1]}, id="bool-label"),
+        pytest.param("m", {"m": 1.5}, id="float-m"),
+        pytest.param("m", {"m": -3, "k": -2}, id="negative-m-k"),
+        pytest.param("k", {"k": True}, id="bool-k"),
+        pytest.param("k", {"k": 0}, id="zero-k"),
+    ],
+)
+def test_model_load_rejects_malformed_fields(tmp_path, field, edit):
+    rng = np.random.default_rng(11)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4), restarts=1)
+    model.cluster_labels = [2, 0, 1]
+    path = tmp_path / "model.json"
+    model.save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
         BonmfModel.load(path)
 
 

@@ -4,13 +4,15 @@ from them, against dense and direct oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bonmf import BinaryAssignment, frobenius_objective, update_h_cosine, update_w
+from bonmf import BinaryAssignment, FactorizeOptions, factorize_bonmf, update_h_cosine
+from bonmf.bonmf import _cluster_means, _objective
 from bonmf.matrices import H_UPDATE_BLOCK_COLS, cluster_sums, column_norms
 
 from test_bonmf import brute_force_assignments
+from test_reference import bonmf_problems
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -79,30 +81,28 @@ def test_cluster_sums_match_update_h_cosine(problem):
 def test_objective_from_statistics_matches_direct_residual(problem):
     X, W, labels, fit = problem
     k = W.shape[1]
-    direct = direct_objective(X, W, labels)
-    for assign in (
-        BinaryAssignment(labels, k),
-        BinaryAssignment(labels, k, *cluster_sums(X, labels, k)),
-    ):
-        got = frobenius_objective(X, W, assign)
-        assert got >= 0.0
-        assert got == pytest.approx(direct, rel=1e-9, abs=0)
-        if fit == "exact" and np.array_equal(X, W[:, labels]):
-            # the expansion cancels to rounding noise; only the direct
-            # residual gives the exact zero
-            assert got == 0.0
+    got = _objective(X, W, BinaryAssignment(labels, k, *cluster_sums(X, labels, k)))
+    assert got >= 0.0
+    assert got == pytest.approx(direct_objective(X, W, labels), rel=1e-9, abs=0)
+    if fit == "exact" and np.array_equal(X, W[:, labels]):
+        # the expansion cancels to rounding noise; only the direct
+        # residual gives the exact zero
+        assert got == 0.0
 
 
 @PROPERTY
 @given(problems())
 def test_update_w_from_statistics_matches_dense_expansion(problem):
+    # bonmf's W step, the cluster means, is the minimum-norm least-squares
+    # W = X H^T (H H^T)^+ of the dense H: 0 for an empty cluster
     X, W, labels, _ = problem
     k = W.shape[1]
     assign = BinaryAssignment(labels, k, *cluster_sums(X, labels, k))
-    got = update_w(X, W, assign)
-    want = update_w(X, W, assign.to_dense())
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * W.max(initial=0))
-    assert np.array_equal(update_w(X, W, BinaryAssignment(labels, k)), got)
+    H = assign.to_dense()
+    want = (X @ H.T) @ np.linalg.pinv(H @ H.T)
+    got = _cluster_means(assign)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * X.max(initial=0))
+    assert not got[:, assign.cluster_sizes() == 0].any()
 
 
 @PROPERTY
@@ -146,14 +146,36 @@ def test_statistics_of_wrong_shape_rejected():
         BinaryAssignment(labels, 2, np.zeros(6), np.zeros(2))
     with pytest.raises(ValueError):
         BinaryAssignment(labels, 2, np.zeros((3, 2)), None)
-    # one row would broadcast against the 3 x 2 W without the check
-    wrong_rows = BinaryAssignment(labels, 2, np.zeros((1, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        update_w(X, W, wrong_rows)
-    with pytest.raises(ValueError):
-        frobenius_objective(X, W, wrong_rows)
     with pytest.raises(ValueError):
         update_h_cosine(X, W, norms=np.ones(3))
     with pytest.raises(ValueError):
         cluster_sums(X, labels[:3], 2)
 
+
+def sparse_clusters(seed, m=12, n=200, k=4):
+    """k noisy clusters with 80% of the entries zeroed."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, k))[:, rng.integers(0, k, n)] + 0.5 * rng.random((m, n))
+    X[rng.random((m, n)) < 0.8] = 0.0
+    return X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bonmf_problems())
+# J fell here under the multiplicative W step, which kept zero basis entries at zero
+@example((sparse_clusters(11), 4, FactorizeOptions(max_iterations=40, tolerance=0, seed=11), 1))
+def test_spherical_kmeans_objective_never_falls(problem):
+    # with the cluster means as W step and the cosine argmax as H step,
+    # bonmf is spherical k-means on the raw columns: J = sum_c ||S_c||
+    # never falls within a restart
+    X, k, opts, restarts = problem
+    per_restart = []
+
+    def record(it, W, H):
+        if it == 0:
+            per_restart.append([])
+        per_restart[-1].append(float(np.linalg.norm(H.sums, axis=0).sum()))
+
+    factorize_bonmf(X, k, opts, on_iteration=record, restarts=restarts)
+    for J in map(np.array, per_restart):
+        assert np.all(J[1:] >= J[:-1] * (1.0 - 1e-12))

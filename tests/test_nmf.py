@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bonmf import (
-    BinaryAssignment,
     FactorizeOptions,
     factorize_nmf,
     frobenius_objective,
@@ -31,17 +30,6 @@ def test_update_w_zero_locking():
     H = rng.random((3, 5))
     X = rng.random((4, 5))
     assert update_w(X, W, H)[2, 1] == 0.0
-
-
-def test_update_w_binary_matches_dense_expansion():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        X = rng.random((6, 9))
-        W = rng.random((6, 3)) + 0.01
-        assign = BinaryAssignment(rng.integers(0, 3, size=9), k=3)
-        got = update_w(X, W, assign)
-        want = update_w(X, W, assign.to_dense())
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_update_w_shape_mismatch():
@@ -131,5 +119,3 @@ def test_update_w_sums_checked():
     X, W, H = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4))
     with pytest.raises(ValueError, match="sums have shape"):
         update_w(X, W, H, sums=np.ones((3, 4)))
-    with pytest.raises(ValueError, match="dense H"):
-        update_w(X, W, BinaryAssignment([0, 1, 0, 1], k=2), sums=X @ H.T)
