@@ -19,7 +19,7 @@ keeps its label unscored, as in the bounds of accelerated k-means
 (Hamerly 2010; Schubert, Lang and Feher 2021); only the others are
 rescored and moved between the cluster sums. Once the labels settle, an
 iteration costs O(n + mk) and reads no column of X. The column norms of X
-are computed once per factorization and shared by every restart, its
+are computed once per factorization and shared by every step, the
 initialization included.
 """
 
@@ -43,11 +43,6 @@ from .matrices import (
     column_norms,
 )
 from .nmf import FactorizationTrace, FactorizeOptions, _alternate
-
-# Restarts whose final objectives lie within this relative distance of the
-# lowest one fit equally well; the earliest of them is selected, so the
-# choice does not follow the rounding of the objective's summation order.
-RESTART_TIE_RTOL = 1e-12
 
 # A sample keeps its label unscored while its cosine lead, less the drift of
 # the basis, exceeds this. Each cosine is rounded by about (m + 2) * 2**-53
@@ -157,14 +152,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def update_h_cosine(
-    X, W, diagnostics: list | None = None, *, norms=None, previous=None
-) -> CosineAssignment:
+def update_h_cosine(X, W, *, norms=None, previous=None) -> CosineAssignment:
     """Assign every sample column to the basis column of maximal cosine.
 
-    Zero-norm sample columns go to cluster 0 and are flagged in
-    `diagnostics` if given. Zero-norm basis columns are never chosen; if
-    all basis columns are zero the model is degenerate.
+    Zero-norm sample columns go to cluster 0. Zero-norm basis columns are
+    never chosen; if all basis columns are zero the model is degenerate.
 
     The same blocked pass records the cluster statistics of X on the
     returned CosineAssignment, with each sample's cosine lead over the
@@ -250,10 +242,6 @@ def update_h_cosine(
         labels[cols] = lab
         margins[cols] = lead
         rescored += lab.size
-        if diagnostics is not None and zero_cols.any():
-            diagnostics.extend(
-                f"zero_norm_sample_column:{i}" for i in np.arange(n)[cols][zero_cols]
-            )
     if rescored and not fresh:
         # moves leave rounding residue in the sums of a cluster they left
         # with zero columns only, or empty; its mean, the W step's basis
@@ -333,65 +321,34 @@ def _objective(X, W, H) -> float:
 
 
 def factorize_bonmf(
-    X,
-    k: int,
-    opts: FactorizeOptions | None = None,
-    on_iteration=None,
-    restarts: int = 16,
+    X, k: int, opts: FactorizeOptions | None = None, on_iteration=None
 ) -> BonmfModel:
     """Alternating binary orthogonal factorization of X.
 
-    Each iteration sets W to the cluster means, the least-squares W for
-    the current one-hot H, and then reassigns every sample by cosine
-    argmax.
+    W starts from init_w's greedy spherical k-means++ seeds, drawn with
+    opts.seed as every factorizer in this package draws its own, and H
+    from init_h. Each iteration sets W to the cluster means, the
+    least-squares W for the current one-hot H, and then reassigns every
+    sample by cosine argmax.
     Stops at max_iterations, or when assignments are unchanged between
     consecutive iterations and the relative objective change is below
-    tolerance.
-
-    The alternation is a hard-assignment descent and regularly lands in
-    poor local optima (merged clusters) from the randomized averaging
-    init, so the whole init-plus-loop is run `restarts` times with seeds
-    derived from opts.seed. The earliest restart whose final objective is
-    within RESTART_TIE_RTOL (relative) of the lowest one is returned.
-    `on_iteration(iteration, W, assignments)` is invoked after every
-    iteration of every restart when given.
+    tolerance. `on_iteration(iteration, W, assignments)` is invoked after
+    every iteration when given.
     """
     opts = opts or FactorizeOptions()
     X = as_data_matrix(X)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
-    seeds = np.random.SeedSequence(opts.seed).generate_state(restarts)
     norms = column_norms(X)
-    # (objective, restart, model) with strictly falling objectives, all
-    # within the tie tolerance of the lowest; a restart no better than the
-    # last entry can never be the earliest tie, so it is dropped at once.
-    kept = []
-    for restart, seed in enumerate(seeds):
-        model = _factorize_once(X, k, opts, int(seed), on_iteration, norms)
-        obj = model.trace.objective_per_iteration[-1]
-        if kept and obj >= kept[-1][0]:
-            continue
-        kept = [c for c in kept if c[0] <= obj * (1.0 + RESTART_TIE_RTOL)]
-        kept.append((obj, restart, model))
-    _, winner, model = kept[0]
-    model.trace.notes.append(f"restarts:{restarts};selected:{winner}")
-    return model
-
-
-def _factorize_once(X, k, opts, seed, on_iteration, norms) -> BonmfModel:
     trace = FactorizationTrace()
 
     def start():
-        W = init_w(X, k, seed, norms=norms)
+        W = init_w(X, k, opts.seed, norms=norms)
         return W, init_h(W, X, norms=norms)
 
     def cosine_step(W, H):
-        # X is fixed, so only the first H step notes the zero-norm columns
-        notes = None if isinstance(H, CosineAssignment) else trace.notes
-        assign = update_h_cosine(X, W, notes, norms=norms, previous=H)
+        assign = update_h_cosine(X, W, norms=norms, previous=H)
         trace.rescored_per_iteration.append(assign.rescored)
         return assign
 

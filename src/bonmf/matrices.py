@@ -33,9 +33,12 @@ def as_data_matrix(X) -> np.ndarray:
         raise ValueError(f"data matrix must be 2-d, got ndim={X.ndim}")
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"data matrix must be non-empty, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    # two reductions with no m x n temporary: a NaN propagates into the
+    # minimum, an infinity reaches the minimum or the maximum
+    lowest, highest = X.min(), X.max()
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
         raise ValueError("data matrix has NaN or infinite entries")
-    if np.any(X < 0):
+    if lowest < 0:
         raise ValueError("data matrix has negative entries; NMF requires X >= 0")
     return X
 

@@ -46,7 +46,6 @@ class FactorizeOptions:
 @dataclass
 class FactorizationTrace:
     objective_per_iteration: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     # samples the bonmf cosine H step scored, per iteration (bonmf only)
     rescored_per_iteration: list = field(default_factory=list)
 

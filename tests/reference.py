@@ -5,7 +5,6 @@ incremental state; nothing here is meant to be fast."""
 
 import numpy as np
 
-from bonmf.bonmf import RESTART_TIE_RTOL
 from bonmf.init import init_h_real, init_w
 
 
@@ -71,31 +70,53 @@ def cosine_argmax(X, W):
     return labels
 
 
-def bonmf_reference(X, k, opts, restarts):
-    """factorize_bonmf written out: per restart the same start (init_w,
-    argmax of init_h_real), then W = X H^T / n_c (0 for an empty cluster),
-    a fresh cosine argmax and the direct 0.5 * ||X - W H||^2, under the same
-    stop rule. Returns ([per restart, per iteration (labels, W, objective)],
-    selected restart): the earliest restart whose final objective lies
-    within RESTART_TIE_RTOL of the lowest."""
-    runs = []
-    for seed in np.random.SeedSequence(opts.seed).generate_state(restarts):
-        W = init_w(X, k, int(seed))
-        labels = np.argmax(init_h_real(W, X), axis=0)
-        steps, prev = [], None
-        for _ in range(opts.max_iterations):
-            H = one_hot(labels, k)
-            W = (X @ H.T) / np.maximum(H.sum(axis=1), 1.0)
-            new = cosine_argmax(X, W)
-            R = X - W @ one_hot(new, k)
-            obj = 0.5 * float(np.sum(R * R))
-            steps.append((new, W, obj))
-            stable, labels = np.array_equal(new, labels), new
-            if stable and prev is not None:
-                if abs(obj - prev) / max(prev, np.finfo(float).tiny) < opts.tolerance:
-                    break
-            prev = obj
-        runs.append(steps)
-    finals = [steps[-1][2] for steps in runs]
-    selected = next(r for r, f in enumerate(finals) if f <= min(finals) * (1.0 + RESTART_TIE_RTOL))
-    return runs, selected
+def bonmf_reference(X, k, opts):
+    """factorize_bonmf written out: the same start (init_w, argmax of
+    init_h_real), then W = X H^T / n_c (0 for an empty cluster), a fresh
+    cosine argmax and the direct 0.5 * ||X - W H||^2, under the same stop
+    rule. Returns the (labels, W, objective) of every iteration."""
+    W = init_w(X, k, opts.seed)
+    labels = np.argmax(init_h_real(W, X), axis=0)
+    steps, prev = [], None
+    for _ in range(opts.max_iterations):
+        H = one_hot(labels, k)
+        W = (X @ H.T) / np.maximum(H.sum(axis=1), 1.0)
+        new = cosine_argmax(X, W)
+        R = X - W @ one_hot(new, k)
+        obj = 0.5 * float(np.sum(R * R))
+        steps.append((new, W, obj))
+        stable, labels = np.array_equal(new, labels), new
+        if stable and prev is not None:
+            if abs(obj - prev) / max(prev, np.finfo(float).tiny) < opts.tolerance:
+                break
+        prev = obj
+    return steps
+
+
+def init_w_replay(X, k, seed, seeds):
+    """init_w written out, along the given sequence of seeds: for each one,
+    the candidates drawn from the same generator and the sum of gaps each
+    would leave, every candidate's gaps computed on their own from
+    whole-matrix cosines. Sums that tie exactly (two candidates that are
+    each other's nearest column) differ here and in init_w only by
+    rounding, so which of them init_w keeps is not replayed."""
+    n = X.shape[1]
+    norms = np.linalg.norm(X, axis=0)
+    live = norms > 0
+    safe = np.where(live, norms, 1.0)
+    gap = live.astype(np.float64)
+    rng = np.random.default_rng(seed)
+
+    def after(c):
+        g = np.maximum(0.0, np.minimum(gap, 1.0 - (X.T @ X[:, c]) / safe / safe[c]))
+        g[c] = 0.0
+        return g
+
+    steps = []
+    for j, chosen in enumerate(seeds):
+        weights = gap if gap.sum() > 0 else (live if live.any() else np.ones(n))
+        size = 1 if j == 0 else 2 + int(np.log(k))
+        candidates = rng.choice(n, size=size, p=weights / weights.sum())
+        steps.append((candidates.tolist(), [float(after(c).sum()) for c in candidates]))
+        gap = after(chosen)
+    return steps

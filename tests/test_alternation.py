@@ -14,12 +14,8 @@ from bonmf import (
 from test_bonmf import make_blocks
 
 
-def bonmf_single_start(X, k, opts):
-    return factorize_bonmf(X, k, opts, restarts=1)
-
-
 FACTORIZERS = {
-    "bonmf": bonmf_single_start,
+    "bonmf": factorize_bonmf,
     "nmf": factorize_nmf,
     "onmf": factorize_onmf,
     "zhang": factorize_zhang,

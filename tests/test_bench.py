@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 import bonmf.bench
+import bonmf.bonmf
+import bonmf.nmf
+import bonmf.onmf
+import bonmf.semi_binary
 from bonmf.bench import (
     ConfigError,
     ExperimentConfig,
@@ -84,6 +88,22 @@ def test_run_experiment_all_methods_complete():
     assert set(agg) == set(cfg.methods)
     for method in cfg.methods:
         assert agg[method]["trials_ok"] + agg[method]["trials_failed"] == 2
+
+
+def test_every_factorizer_in_a_trial_starts_from_the_same_basis(monkeypatch):
+    starts = {}
+    for module in (bonmf.bonmf, bonmf.nmf, bonmf.onmf, bonmf.semi_binary):
+        def recording(*args, module=module, init=module.init_w, **kwargs):
+            W = init(*args, **kwargs)
+            starts[module.__name__] = W.copy()
+            return W
+
+        monkeypatch.setattr(module, "init_w", recording)
+    ds = synth_dataset("noisy-blocks", 12, 60, 3, 0.1, seed=3)
+    run_experiment(blocks_cfg(methods=("bonmf", "nmf", "onmf", "zhang")), ds=ds)
+    assert len(starts) == 4
+    first = starts["bonmf.bonmf"]
+    assert all(W.tobytes() == first.tobytes() for W in starts.values())
 
 
 def test_run_experiment_deterministic_modulo_timings():

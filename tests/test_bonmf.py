@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from bonmf import (
-    BinaryAssignment,
     DegenerateModelError,
     FactorizeOptions,
     factorize_bonmf,
     init_h,
     update_h_cosine,
 )
-from bonmf.bonmf import RESTART_TIE_RTOL, BonmfModel
-from bonmf.nmf import FactorizationTrace
+from bonmf.bonmf import BonmfModel
 
 from reference import brute_force_assignments
 
@@ -67,11 +65,9 @@ def test_update_h_cosine_spherical_kmeans_equivalence():
 def test_update_h_cosine_zero_sample_column_flagged():
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
-    diag = []
-    assign = update_h_cosine(X, W, diagnostics=diag)
+    assign = update_h_cosine(X, W)
     assert assign.labels[0] == 0
     assert assign.labels[1] == 1
-    assert diag == ["zero_norm_sample_column:0"]
 
 
 def test_update_h_cosine_dead_basis_column_never_chosen():
@@ -148,7 +144,6 @@ def test_factorize_single_iteration():
         rng.random((5, 12)), 2,
         FactorizeOptions(max_iterations=1, seed=1),
         on_iteration=lambda it, W, a: seen.append(it),
-        restarts=1,
     )
     assert model.trace.iterations_run == 1
     assert seen == [0]
@@ -192,7 +187,7 @@ def test_model_serialization_round_trip(tmp_path):
 )
 def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
     rng = np.random.default_rng(11)
-    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4), restarts=1)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4))
     model.cluster_labels = [2, 0, 1]
     path = tmp_path / "model.json"
     model.save(path)
@@ -220,7 +215,7 @@ def test_model_load_rejects_inconsistent_fields(tmp_path, field, edit):
 )
 def test_model_load_rejects_malformed_fields(tmp_path, field, edit):
     rng = np.random.default_rng(11)
-    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4), restarts=1)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=4))
     model.cluster_labels = [2, 0, 1]
     path = tmp_path / "model.json"
     model.save(path)
@@ -240,7 +235,7 @@ def test_model_load_rejects_malformed_fields(tmp_path, field, edit):
 )
 def test_model_load_rejects_non_finite_or_negative_basis(tmp_path, entries, bad):
     rng = np.random.default_rng(12)
-    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=5), restarts=1)
+    model = factorize_bonmf(rng.random((6, 20)), 3, FactorizeOptions(seed=5))
     model.cluster_labels = [2, 0, 1]
     model.basis[entries] = bad
     path = tmp_path / "model.json"
@@ -249,61 +244,14 @@ def test_model_load_rejects_non_finite_or_negative_basis(tmp_path, entries, bad)
         BonmfModel.load(path)
 
 
-def test_zero_sample_columns_noted_once_per_run():
-    rng = np.random.default_rng(12)
-    X = rng.random((8, 160))
-    zero = np.sort(rng.choice(160, size=100, replace=False))
-    X[:, zero] = 0.0
-    model = factorize_bonmf(
-        X, 3, FactorizeOptions(max_iterations=20, tolerance=0, seed=5), restarts=1
-    )
-    assert model.trace.iterations_run == 20
-    noted = [n for n in model.trace.notes if n.startswith("zero_norm_sample_column:")]
-    assert noted == [f"zero_norm_sample_column:{i}" for i in zero]
-
-
-def _record_restart_objectives(monkeypatch):
-    """Wrap the per-restart factorization; returns the list its final
-    objectives are appended to."""
-    import bonmf.bonmf as module
-
-    finals = []
-    once = module._factorize_once
-
-    def recording(*args):
-        model = once(*args)
-        finals.append(model.trace.objective_per_iteration[-1])
-        return model
-
-    monkeypatch.setattr(module, "_factorize_once", recording)
-    return finals
-
-
-def test_restart_ties_select_the_earliest_on_clean_blocks(monkeypatch):
-    # clean blocks: most restarts reach the true partition, and their final
-    # objectives differ only in the last bits
-    X, labels = make_blocks(20, 100, 4, seed=0)
-    finals = _record_restart_objectives(monkeypatch)
-    model = factorize_bonmf(X, 4, FactorizeOptions(seed=0))
-    finals = np.array(finals)
-    ties = np.nonzero(finals <= finals.min() * (1 + RESTART_TIE_RTOL))[0]
-    assert ties.size > 1 and len(set(finals[ties])) > 1
-    assert model.trace.notes[-1] == f"restarts:16;selected:{ties[0]}"
-    assert partitions_equal(model.assignments.labels, labels)
-
-
-def test_restart_selection_rule(monkeypatch):
-    import bonmf.bonmf as module
-
-    objectives = iter([2.0, 1.0 + 2e-12, 1.0 + 0.5e-12, 1.0, 1.0 + 3e-12, 1.0])
-
-    def fake_once(X, k, opts, seed, on_iteration, norms):
-        trace = FactorizationTrace(objective_per_iteration=[next(objectives)])
-        return BonmfModel(np.ones((2, 1)), BinaryAssignment([0], 1), trace)
-
-    monkeypatch.setattr(module, "_factorize_once", fake_once)
-    model = factorize_bonmf(np.ones((2, 1)), 1, restarts=6)
-    # restarts 2, 3 and 5 lie within 1e-12 of the lowest objective 1.0;
-    # restart 1 does not
-    assert model.trace.notes[-1] == "restarts:6;selected:2"
-    assert model.trace.objective_per_iteration == [1.0 + 0.5e-12]
+def test_converged_run_with_zero_columns_rescores_nothing():
+    # a zero column's lead is +inf: it is scored once, by the first H step,
+    # and never again, so a run that has converged rescores no sample
+    X, labels = make_blocks(20, 120, 4, seed=12)
+    X[:, ::3] = 0.0
+    model = factorize_bonmf(X, 4, FactorizeOptions(max_iterations=10, tolerance=0, seed=12))
+    rescored = model.trace.rescored_per_iteration
+    assert rescored[0] == 120
+    assert rescored[-1] == 0
+    live = np.arange(120) % 3 != 0
+    assert partitions_equal(model.assignments.labels[live], labels[live])

@@ -80,6 +80,13 @@ def test_classify_bonmf_zero_input_goes_to_first_cluster():
     assert classify_bonmf(np.zeros(3), model) == 4
 
 
+def test_classify_bonmf_orthogonal_sample_skips_dead_first_column():
+    # column 0 is dead and x has cosine 0 to both live columns: the first
+    # live column wins the tie, never the dead one
+    model = model_from(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), [4, 5, 6])
+    assert classify_bonmf(np.array([0.0, 0.0, 2.0]), model) == 5
+
+
 def test_classify_bonmf_requires_label_map():
     model = model_from(np.eye(2), [0, 1])
     model.cluster_labels = None
@@ -137,6 +144,19 @@ def test_angle_nearest_hand_cosine_table():
     assert classify_angle_nearest(np.array([0.95, 0.05]), model, train, "onmf-cos") == 0
     # coefficient cosines: col1 direction matches x best
     assert classify_angle_nearest(np.array([0.6, 0.8]), model, train, "nmf") == 1
+
+
+def test_angle_nearest_orthogonal_sample_skips_dead_first_columns():
+    # x = e2 has cosine 0 to every live column. First stage: basis column 0
+    # is dead, so x goes to cluster 1, not 0. Second stage: cluster 1's
+    # first member is a zero column, so its second member gives the label.
+    W = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    train_data = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    # training clusters by coefficient argmax: 0, 1, 1, 2
+    H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    model = NmfModel(basis=W, coefficients=H, trace=FactorizationTrace())
+    train = LabeledDataset(train_data, np.array([0, 1, 2, 3]), 4)
+    assert classify_angle_nearest(np.array([0.0, 0.0, 2.0]), model, train, "onmf-cos") == 2
 
 
 def test_angle_nearest_unknown_scheme():

@@ -111,12 +111,11 @@ def test_update_h_cosine_same_with_precomputed_norms(problem):
     X, W, _, _ = problem
     if not np.linalg.norm(W, axis=0).any():
         W = W + 1.0
-    plain = update_h_cosine(X, W, diag_plain := [])
-    cached = update_h_cosine(X, W, diag_cached := [], norms=column_norms(X))
+    plain = update_h_cosine(X, W)
+    cached = update_h_cosine(X, W, norms=column_norms(X))
     assert np.array_equal(plain.labels, cached.labels)
     assert plain.sums.tobytes() == cached.sums.tobytes()
     assert plain.sq_norms.tobytes() == cached.sq_norms.tobytes()
-    assert diag_plain == diag_cached
 
 
 @PROPERTY
@@ -163,19 +162,16 @@ def sparse_clusters(seed, m=12, n=200, k=4):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(bonmf_problems())
 # J fell here under the multiplicative W step, which kept zero basis entries at zero
-@example((sparse_clusters(11), 4, FactorizeOptions(max_iterations=40, tolerance=0, seed=11), 1))
+@example((sparse_clusters(11), 4, FactorizeOptions(max_iterations=40, tolerance=0, seed=11)))
 def test_spherical_kmeans_objective_never_falls(problem):
     # with the cluster means as W step and the cosine argmax as H step,
     # bonmf is spherical k-means on the raw columns: J = sum_c ||S_c||
-    # never falls within a restart
-    X, k, opts, restarts = problem
-    per_restart = []
-
-    def record(it, W, H):
-        if it == 0:
-            per_restart.append([])
-        per_restart[-1].append(float(np.linalg.norm(H.sums, axis=0).sum()))
-
-    factorize_bonmf(X, k, opts, on_iteration=record, restarts=restarts)
-    for J in map(np.array, per_restart):
-        assert np.all(J[1:] >= J[:-1] * (1.0 - 1e-12))
+    # never falls
+    X, k, opts = problem
+    J = []
+    factorize_bonmf(
+        X, k, opts,
+        on_iteration=lambda it, W, H: J.append(float(np.linalg.norm(H.sums, axis=0).sum())),
+    )
+    J = np.array(J)
+    assert np.all(J[1:] >= J[:-1] * (1.0 - 1e-12))

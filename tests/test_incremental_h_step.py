@@ -206,7 +206,7 @@ def test_previous_checked():
 def test_converged_restart_rescores_nothing():
     X, labels = make_blocks(20, 100, 4, seed=0)
     model = factorize_bonmf(
-        X, 4, FactorizeOptions(max_iterations=10, tolerance=0, seed=0), restarts=1
+        X, 4, FactorizeOptions(max_iterations=10, tolerance=0, seed=0)
     )
     rescored = model.trace.rescored_per_iteration
     assert len(rescored) == model.trace.iterations_run == 10

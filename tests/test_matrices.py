@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,31 @@ def test_as_data_matrix_rejects_negative_and_empty():
         as_data_matrix([[1.0, -0.5]])
     with pytest.raises(ValueError):
         as_data_matrix(np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        pytest.param([np.nan, -1.0], "NaN or infinite", id="nan-before-negative"),
+        pytest.param([-np.inf, 1.0], "NaN or infinite", id="-inf"),
+        pytest.param([np.inf, -1.0], "NaN or infinite", id="inf-before-negative"),
+        pytest.param([-1.0, 1.0], "negative", id="negative"),
+    ],
+)
+def test_as_data_matrix_reports_non_finite_before_negative(entries, message):
+    X = np.ones((3, 4))
+    X[1, 2], X[2, 0] = entries
+    with pytest.raises(ValueError, match=message):
+        as_data_matrix(X)
+
+
+def test_as_data_matrix_allocates_no_matrix_sized_mask():
+    X = np.random.default_rng(14).random((1000, 1000))
+    tracemalloc.start()
+    assert as_data_matrix(X) is X
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < X.nbytes / 100, f"peak {peak} B"
 
 
 def random_dense_problem(rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bonmf import FactorizeOptions, encode_sample, factorize_onmf
+from bonmf import FactorizeOptions, encode_sample, factorize_onmf, init_w
+from bonmf.init import init_h_real
 from bonmf.onmf import orthogonality_residual, update_h_orthogonal
 
 
@@ -28,6 +29,16 @@ def test_single_iteration_trace():
     rng = np.random.default_rng(0)
     model = factorize_onmf(rng.random((5, 7)), 2, FactorizeOptions(max_iterations=1, seed=0))
     assert len(model.trace.objective_per_iteration) == 1
+
+
+def test_start_is_floored_not_clamped():
+    # the least-squares start has negative entries; floored at a positive
+    # value they stay alive, where clamped at 0 the sqrt-ratio rule would
+    # keep them at 0 for good
+    X = np.random.default_rng(13).random((8, 30))
+    opts = FactorizeOptions(max_iterations=1, seed=2)
+    assert (init_h_real(init_w(X, 3, opts.seed), X) < 0).any()
+    assert (factorize_onmf(X, 3, opts).coefficients > 0).all()
 
 
 def test_nonnegativity_closure():

@@ -1,14 +1,11 @@
 """The reference implementations in reference.py, and factorize_bonmf
 checked against the reference loop iteration by iteration."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import bonmf.bonmf as bonmf_module
 from bonmf import FactorizeOptions, factorize_bonmf
 from bonmf.matrices import H_UPDATE_BLOCK_COLS
 
@@ -65,7 +62,7 @@ def test_cosine_argmax_matches_brute_force():
 
 @st.composite
 def bonmf_problems(draw, zero_fractions=(0.0, 0.3, 0.7), max_iterations=15):
-    """(X, k, opts, restarts): clustered non-negative X with a share of
+    """(X, k, opts): clustered non-negative X with a share of
     zero entries drawn from `zero_fractions` and optionally zero columns,
     C or F ordered, k up to 6 on 1 to 12 features (so k > m occurs),
     tolerance 0 or 1e-4. Values are continuous, so an exact cosine tie has
@@ -86,45 +83,21 @@ def bonmf_problems(draw, zero_fractions=(0.0, 0.3, 0.7), max_iterations=15):
         tolerance=draw(st.sampled_from([0.0, 1e-4])),
         seed=draw(st.integers(0, 2**16)),
     )
-    return X, k, opts, draw(st.integers(1, 3))
-
-
-def run_bonmf(X, k, opts, restarts):
-    """factorize_bonmf with every restart recorded: ([per restart, per
-    iteration (labels, W, objective)], selected restart)."""
-    runs, objectives = [], []
-    once = bonmf_module._factorize_once
-
-    def recording(*args):
-        model = once(*args)
-        objectives.append(model.trace.objective_per_iteration)
-        return model
-
-    def record(it, W, H):
-        if it == 0:
-            runs.append([])
-        runs[-1].append((H.labels.copy(), W.copy()))
-
-    with mock.patch.object(bonmf_module, "_factorize_once", recording):
-        model = factorize_bonmf(X, k, opts, on_iteration=record, restarts=restarts)
-    selected = int(model.trace.notes[-1].rsplit(":", 1)[1])
-    steps = [
-        [(labels, W, obj) for (labels, W), obj in zip(run, objs, strict=True)]
-        for run, objs in zip(runs, objectives, strict=True)
-    ]
-    return steps, selected
+    return X, k, opts
 
 
 @PROPERTY
 @given(bonmf_problems())
 def test_factorize_bonmf_matches_reference_loop(problem):
-    X, k, opts, restarts = problem
-    got, got_selected = run_bonmf(X, k, opts, restarts)
-    want, want_selected = bonmf_reference(X, k, opts, restarts)
-    assert [len(run) for run in got] == [len(run) for run in want]
-    for run_got, run_want in zip(got, want):
-        for (labels, W, obj), (ref_labels, ref_W, ref_obj) in zip(run_got, run_want):
-            assert np.array_equal(labels, ref_labels)
-            assert np.abs(W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
-            assert obj == pytest.approx(ref_obj, rel=1e-9, abs=0)
-    assert got_selected == want_selected
+    X, k, opts = problem
+    got = []
+    model = factorize_bonmf(
+        X, k, opts, on_iteration=lambda it, W, H: got.append((H.labels.copy(), W.copy()))
+    )
+    want = bonmf_reference(X, k, opts)
+    assert len(got) == len(want)
+    objectives = model.trace.objective_per_iteration
+    for (labels, W), obj, (ref_labels, ref_W, ref_obj) in zip(got, objectives, want):
+        assert np.array_equal(labels, ref_labels)
+        assert np.abs(W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
+        assert obj == pytest.approx(ref_obj, rel=1e-9, abs=0)
