@@ -199,11 +199,9 @@ def update_h_cosine(X, W, *, norms=None, previous=None) -> CosineAssignment:
                 f"expected {(m, k)}"
             )
 
-    wnorm = np.linalg.norm(W, axis=0)
-    dead = wnorm == 0.0
+    Wn, dead = _unit_basis(W)
     if dead.all():
         raise DegenerateModelError("all basis columns have zero norm")
-    Wn = np.where(dead, 0.0, W / np.where(dead, 1.0, wnorm))
 
     fresh = not isinstance(previous, CosineAssignment)
     if fresh:
@@ -255,6 +253,14 @@ def update_h_cosine(X, W, *, norms=None, previous=None) -> CosineAssignment:
         np.maximum(sq_norms, 0.0, out=sq_norms)
     return CosineAssignment(labels, k, sums, sq_norms, margins=margins, unit_basis=Wn,
                             rescored=rescored)
+
+
+def _unit_basis(W) -> tuple[np.ndarray, np.ndarray]:
+    """(Wn, dead): W with every column scaled to unit norm, and the mask of
+    its zero columns, which stay zero in Wn."""
+    wnorm = np.linalg.norm(W, axis=0)
+    dead = wnorm == 0.0
+    return np.where(dead, 0.0, W / np.where(dead, 1.0, wnorm)), dead
 
 
 def _stale_chunks(X, stale):

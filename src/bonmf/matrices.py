@@ -161,11 +161,18 @@ def _dense_sums(X, W, H, sums=None) -> np.ndarray:
     return sums
 
 
-def frobenius_objective(X, W, H, *, sums=None) -> float:
+def _squared_norm(X) -> float:
+    """||X||_F^2 as frobenius_objective computes it."""
+    x = X.ravel(order="K")  # no copy for C- or F-ordered X, unlike np.vdot
+    return float(x @ x)
+
+
+def frobenius_objective(X, W, H, *, sums=None, sq_norm=None) -> float:
     """0.5 * ||X - W H||_F^2 for a dense H, from the k-column statistics
     S = X H^T and the k x k Grams, with no m x n temporary:
         0.5 * (||X||^2 - 2 <S, W> + <W^T W, H H^T>),
-    where `sums` may hold S computed earlier (it is X @ H.T otherwise).
+    where `sums` may hold S computed earlier (it is X @ H.T otherwise) and
+    `sq_norm` ||X||^2 computed earlier by _squared_norm(X).
     Near an exact fit the expansion cancels, so below
     EXPANSION_FLOOR * ||X||^2 the residual X - W H is summed directly.
     """
@@ -173,8 +180,7 @@ def frobenius_objective(X, W, H, *, sums=None) -> float:
     if W.shape[1] != H.shape[0] or X.shape != (W.shape[0], H.shape[1]):
         raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}")
     S = _dense_sums(X, W, H, sums)
-    x = X.ravel(order="K")  # no copy for C- or F-ordered X, unlike np.vdot
-    total = float(x @ x)
+    total = _squared_norm(X) if sq_norm is None else sq_norm
     value = total - 2.0 * float(np.vdot(S, W)) + float(np.vdot(W.T @ W, H @ H.T))
     if value >= EXPANSION_FLOOR * total:
         return 0.5 * value

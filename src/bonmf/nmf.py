@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .init import init_h_real, init_w
-from .matrices import _dense_sums, as_data_matrix, frobenius_objective
+from .matrices import _dense_sums, _squared_norm, as_data_matrix, frobenius_objective
 
 # added to every multiplicative-update denominator
 EPSILON_GUARD = 1e-10
@@ -99,11 +99,13 @@ def _alternate(
 
     `w_step(W, H)` and `objective(W, H)` are given together or not at all.
     Without them H is dense: the W step is the multiplicative update_w, and
-    one X @ H.T per H feeds both frobenius_objective and the next W step.
+    one X @ H.T per H feeds both frobenius_objective and the next W step;
+    ||X||^2 is computed once per call.
     update_w, frobenius_objective and the H step are looked up at call time.
     """
     W, H = start()
     sums = None  # X @ H.T of a dense H, taken with its objective
+    sq_norm = _squared_norm(X) if objective is None else None
     prev = None
     for it in range(opts.max_iterations):
         W = update_w(X, W, H, sums=sums) if w_step is None else w_step(W, H)
@@ -114,7 +116,7 @@ def _alternate(
         H = H_new  # free the previous H before the objective runs
         if objective is None:
             sums = X @ H.T
-            obj = frobenius_objective(X, W, H, sums=sums)
+            obj = frobenius_objective(X, W, H, sums=sums, sq_norm=sq_norm)
         else:
             obj = objective(W, H)
         trace.objective_per_iteration.append(obj)

@@ -78,13 +78,18 @@ def encode_sample(x, W, inner_iterations: int = 50, epsilon_guard: float = EPSIL
     """Coefficient vector h >= 0 with W h ~ x, via multiplicative updates
     with W fixed, from an all-ones start. Deterministic. Raises
     ValueError if x has a NaN or infinite entry."""
-    x = np.asarray(x, dtype=np.float64).ravel()
     W = np.asarray(W, dtype=np.float64)
+    return _encode(x, W, W.T @ W, inner_iterations, epsilon_guard)
+
+
+def _encode(x, W, G, inner_iterations: int = 50, epsilon_guard: float = EPSILON_GUARD):
+    """encode_sample for a float64 W whose Gram G = W.T @ W was computed
+    earlier."""
+    x = np.asarray(x, dtype=np.float64).ravel()
     if W.shape[0] != x.size:
         raise ValueError(f"W has {W.shape[0]} rows but x has length {x.size}")
     if not np.isfinite(x).all():
         raise ValueError("sample has NaN or infinite entries")
-    G = W.T @ W
     Wtx = W.T @ x
     h = np.ones(W.shape[1])
     for _ in range(inner_iterations):

@@ -1,6 +1,7 @@
 """Reference implementations the package is checked against: a plain
-cosine, the brute-force cosine assignment built on it, and a textbook bonmf
-loop. Each step is written the direct way, on dense matrices, with no
+cosine, the brute-force cosine assignment built on it, a textbook bonmf
+loop and the per-sample classifiers with nothing kept between calls.
+Each step is written the direct way, on dense matrices, with no
 incremental state; nothing here is meant to be fast."""
 
 import numpy as np
@@ -120,3 +121,65 @@ def init_w_replay(X, k, seed, seeds):
         steps.append((candidates.tolist(), [float(after(c).sum()) for c in candidates]))
         gap = after(chosen)
     return steps
+
+
+def best_cosine_index(x, columns) -> int:
+    """Index of the column with maximal cosine to x, with every column's
+    norm computed on the call; zero columns lose, a zero x gives 0. Raises
+    ValueError if the norm of x is not finite."""
+    norms = np.linalg.norm(columns, axis=0)
+    xnorm = np.linalg.norm(x)
+    if not np.isfinite(xnorm):
+        raise ValueError("sample has NaN or infinite entries, or its norm overflows")
+    if xnorm == 0.0:
+        return 0
+    sims = np.where(norms == 0.0, -np.inf, (columns.T @ x) / np.where(norms == 0, 1, norms))
+    return int(np.argmax(sims))
+
+
+def encode_sample(x, W, inner_iterations=50, epsilon_guard=1e-10):
+    """Multiplicative updates of h >= 0 with W h ~ x from all ones, the
+    Gram W^T W formed on the call."""
+    G = W.T @ W
+    Wtx = W.T @ x
+    h = np.ones(W.shape[1])
+    for _ in range(inner_iterations):
+        h = h * Wtx / (G @ h + epsilon_guard)
+    return h
+
+
+def members_of(model, train, cluster):
+    """Training samples whose largest coefficient is `cluster`, found by an
+    argmax over all coefficients on the call; all of them if none is."""
+    members = np.nonzero(np.argmax(model.coefficients, axis=0) == cluster)[0]
+    return members if members.size else np.arange(train.n)
+
+
+def classify_bonmf(x, model) -> int:
+    """The basis-angle scheme, every norm computed on the call."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    return int(model.cluster_labels[best_cosine_index(x, model.basis)])
+
+
+def classify_coefficient_argmax(x, model, train) -> int:
+    """The coefficient-argmax scheme, recomputing every model quantity."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    members = members_of(model, train, int(np.argmax(encode_sample(x, model.basis))))
+    dists = np.linalg.norm(train.data[:, members] - x[:, None], axis=0)
+    return int(train.labels[members[np.argmin(dists)]])
+
+
+def nearest_member_by_angle(x, model, train, cluster) -> int:
+    """onmf-cos's second stage: the label of the member of `cluster`
+    forming the smallest angle with x."""
+    members = members_of(model, train, cluster)
+    return int(train.labels[members[best_cosine_index(x, train.data[:, members])]])
+
+
+def classify_angle_nearest(x, model, train, scheme) -> int:
+    """The onmf-cos and nmf schemes, recomputing every model quantity."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if scheme == "onmf-cos":
+        return nearest_member_by_angle(x, model, train, best_cosine_index(x, model.basis))
+    h = encode_sample(x, model.basis)
+    return int(train.labels[best_cosine_index(h, model.coefficients)])

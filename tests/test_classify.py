@@ -211,3 +211,63 @@ def test_angle_nearest_rejects_non_finite_sample(bad, scheme):
     model, train = nmf_toy()
     with pytest.raises(ValueError, match="NaN or infinite"):
         classify_angle_nearest([bad, 1.0], model, train, scheme)
+
+
+def test_reassigned_model_arrays_are_scored_afresh():
+    # every classifier keeps state derived from the model's arrays; an
+    # array assigned in place of one it read gets state of its own
+    model = model_from(np.eye(2), [7, 8])
+    assert classify_bonmf([1.0, 0.2], model) == 7
+    model.basis = np.eye(2)[:, ::-1].copy()
+    assert classify_bonmf([1.0, 0.2], model) == 8
+
+    model, train = nmf_toy()
+    x = [1.0, 0.2]
+
+    def labels():
+        return [
+            classify_angle_nearest(x, model, train, "nmf"),
+            classify_angle_nearest(x, model, train, "onmf-cos"),
+            classify_coefficient_argmax(x, model, train),
+        ]
+
+    assert labels() == [0, 0, 0]
+    # training cluster 0 is now sample 3 alone, and the coefficient column
+    # closest in angle to x's is sample 3's
+    model.coefficients = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+    assert labels() == [1, 1, 1]
+    # swapped basis columns send x to cluster 1 and its coefficients back
+    # towards samples 0 to 2
+    model.basis = np.eye(2)[:, ::-1].copy()
+    assert labels() == [0, 0, 0]
+
+
+def test_in_place_write_after_classification_raises():
+    model = model_from(np.eye(2), [7, 8])
+    model.basis[0, 1] = 0.5  # before any classification: allowed
+    classify_bonmf([1.0, 0.2], model)
+    with pytest.raises(ValueError, match="read-only"):
+        model.basis[0, 1] = 0.0
+
+    model, train = nmf_toy()
+    classify_angle_nearest([1.0, 0.2], model, train, "nmf")
+    classify_angle_nearest([1.0, 0.2], model, train, "onmf-cos")
+    for source in (model.basis, model.coefficients, train.data):
+        with pytest.raises(ValueError, match="read-only"):
+            source[0, 0] = 0.5
+
+
+def test_saved_and_loaded_model_classifies_as_the_original(tmp_path):
+    rng = np.random.default_rng(5)
+    labels = np.arange(200) % 4
+    X = 0.1 * rng.random((12, 200))
+    for j, c in enumerate(labels):
+        X[3 * c : 3 * c + 3, j] += rng.uniform(0.5, 1.5, 3)
+    model = factorize_bonmf(X, 4, FactorizeOptions(seed=2))
+    model.cluster_labels = build_label_map(model.assignments, labels)
+    model.save(tmp_path / "model.json")
+    loaded = BonmfModel.load(tmp_path / "model.json")
+    samples = 0.1 * rng.random((12, 200)) + X[:, rng.permutation(200)]
+    assert [classify_bonmf(x, loaded) for x in samples.T] == [
+        classify_bonmf(x, model) for x in samples.T
+    ]

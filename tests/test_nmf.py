@@ -4,6 +4,8 @@ import pytest
 from bonmf import (
     FactorizeOptions,
     factorize_nmf,
+    factorize_onmf,
+    factorize_zhang,
     frobenius_objective,
     update_h_dense,
     update_w,
@@ -113,6 +115,22 @@ def test_update_w_given_sums_is_bit_identical():
         m, n, k = (int(v) for v in rng.integers(1, 30, size=3))
         X, W, H = rng.random((m, n)), rng.random((m, k)), rng.random((k, n))
         assert np.array_equal(update_w(X, W, H, sums=X @ H.T), update_w(X, W, H))
+
+
+def test_recorded_objective_is_bit_identical_to_a_fresh_one():
+    # the alternation computes ||X||^2 once per factorization; what it
+    # records must still be what frobenius_objective computes on its own
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m, n = (int(v) for v in rng.integers(2, 30, size=2))
+        k = int(rng.integers(1, min(m, n) + 1))
+        wide = rng.random((m, 2 * n))
+        for X in (wide[:, :n], np.ascontiguousarray(wide[:, :n]), np.asfortranarray(wide[:, :n])):
+            for factorize in (factorize_nmf, factorize_onmf, factorize_zhang):
+                model = factorize(X, k, FactorizeOptions(max_iterations=3, seed=1))
+                assert model.trace.objective_per_iteration[-1] == (
+                    frobenius_objective(X, model.basis, model.coefficients)
+                )
 
 
 def test_update_w_sums_checked():
