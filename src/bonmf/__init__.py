@@ -12,7 +12,7 @@ from .classify import (
     classify_coefficient_argmax,
 )
 from .data_io import DatasetSpec, load_dataset, save_dataset, train_test_split
-from .init import init_w
+from .init import init_w, least_squares_start
 from .matrices import (
     BinaryAssignment,
     DegenerateModelError,
@@ -52,6 +52,7 @@ __all__ = [
     "frobenius_objective",
     "init_h",
     "init_w",
+    "least_squares_start",
     "load_dataset",
     "save_dataset",
     "train_test_split",

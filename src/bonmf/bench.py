@@ -2,9 +2,14 @@
 training time, classification time and accuracy, plus the CLI.
 
 Per trial, all requested methods see the same train/test split (seed =
-base_seed + trial index) so comparisons are paired. Timing covers the
-train and classify phases only; data loading is excluded. onmf and
-onmf-cos classify with one trained model and report its training time.
+base_seed + trial index) so comparisons are paired, and every factorizer
+starts from one least_squares_start(X, k, seed) on the training data,
+computed once per trial and made read-only. Timing covers the train and
+classify phases only; data loading is excluded. A method's training time
+(TT) is its own training plus the shared start's seconds, so it is the
+time to train that method from X. A start that raises fails every method
+of its trial. onmf and onmf-cos classify with one trained model and
+report its training time.
 """
 
 from __future__ import annotations
@@ -32,24 +37,25 @@ from .classify import (
     classify_coefficient_argmax,
 )
 from .data_io import DatasetSpec, load_dataset, train_test_split
-from .matrices import BinaryAssignment
+from .init import least_squares_start
+from .matrices import BinaryAssignment, as_data_matrix
 from .nmf import FactorizeOptions, factorize_nmf
 from .onmf import factorize_onmf
 from .semi_binary import factorize_zhang
 
 
-def _train_bonmf(train: LabeledDataset, k: int, opts: FactorizeOptions):
-    model = factorize_bonmf(train.data, k, opts)
+def _train_bonmf(train: LabeledDataset, k: int, opts: FactorizeOptions, start=None):
+    model = factorize_bonmf(train.data, k, opts, start=start)
     model.cluster_labels = build_label_map(model.assignments, train.labels)
     return model
 
 
-def _train_onmf(train: LabeledDataset, k: int, opts: FactorizeOptions):
-    return factorize_onmf(train.data, k, opts)
+def _train_onmf(train: LabeledDataset, k: int, opts: FactorizeOptions, start=None):
+    return factorize_onmf(train.data, k, opts, start=start)
 
 
-def _train_zhang(train: LabeledDataset, k: int, opts: FactorizeOptions):
-    model = factorize_zhang(train.data, k, opts)
+def _train_zhang(train: LabeledDataset, k: int, opts: FactorizeOptions, start=None):
+    model = factorize_zhang(train.data, k, opts, start=start)
     # multi-hot H has no per-sample cluster, so classification goes
     # through the cosine-to-basis route like the binary model; the model
     # keeps the labels only, as factorize_bonmf's does
@@ -59,12 +65,13 @@ def _train_zhang(train: LabeledDataset, k: int, opts: FactorizeOptions):
     return wrapped
 
 
-# method -> (train(train_set, k, opts), classify(sample, model, train_set)); a
-# trial trains once per train function. Entries look this module's names up at
-# call time, so a tracer that rebinds them sees every call.
+# method -> (train(train_set, k, opts, start), classify(sample, model, train_set));
+# a trial trains once per train function, every one from the trial's shared
+# start. Entries look this module's names up at call time, so a tracer that
+# rebinds them sees every call.
 _METHODS = {
     "bonmf": (_train_bonmf, lambda x, model, train: classify_bonmf(x, model)),
-    "nmf": (lambda train, k, opts: factorize_nmf(train.data, k, opts),
+    "nmf": (lambda train, k, opts, start: factorize_nmf(train.data, k, opts, start=start),
             lambda x, model, train: classify_angle_nearest(x, model, train, "nmf")),
     "onmf": (_train_onmf, lambda x, model, train: classify_coefficient_argmax(x, model, train)),
     "onmf-cos": (_train_onmf,
@@ -156,6 +163,23 @@ def synth_dataset(
     return LabeledDataset(data=X, labels=labels, class_count=k)
 
 
+def _timed(compute):
+    """(compute(), its seconds), or the exception it raised."""
+    t0 = time.perf_counter()
+    try:
+        return compute(), time.perf_counter() - t0
+    except Exception as exc:  # noqa: BLE001 - re-raised for every method that shares the result
+        return exc
+
+
+def _shared_start(X, k: int, seed: int):
+    """least_squares_start on the validated X, its arrays made read-only."""
+    start = least_squares_start(as_data_matrix(X), k, seed)
+    for array in start:
+        array.setflags(write=False)
+    return start
+
+
 def _run_trial(cfg: ExperimentConfig, ds: LabeledDataset, trial: int) -> list:
     seed = cfg.base_seed + trial
     train, test = train_test_split(ds, cfg.train_fraction, seed)
@@ -163,6 +187,7 @@ def _run_trial(cfg: ExperimentConfig, ds: LabeledDataset, trial: int) -> list:
     opts = FactorizeOptions(
         max_iterations=cfg.max_iterations, tolerance=cfg.tolerance, seed=seed
     )
+    shared = _timed(lambda: _shared_start(train.data, k, seed))  # ((W, H0), seconds)
     trained = {}  # train function -> (model, seconds), or the exception it raised
     records = []
     for method in cfg.methods:
@@ -170,15 +195,15 @@ def _run_trial(cfg: ExperimentConfig, ds: LabeledDataset, trial: int) -> list:
         rec = {"method": method, "trial": trial, "seed": seed, "failed": False,
                "error": None, "tt": None, "ct": None, "accuracy": None}
         try:
+            if isinstance(shared, Exception):
+                raise shared
+            start, start_s = shared
             if fit not in trained:
-                t0 = time.perf_counter()
-                try:
-                    trained[fit] = (fit(train, k, opts), time.perf_counter() - t0)
-                except Exception as exc:  # noqa: BLE001 - re-raised below for every sharer
-                    trained[fit] = exc
+                trained[fit] = _timed(lambda: fit(train, k, opts, start))
             if isinstance(trained[fit], Exception):
                 raise trained[fit]
-            model, rec["tt"] = trained[fit]
+            model, fit_s = trained[fit]
+            rec["tt"] = start_s + fit_s
             t1 = time.perf_counter()
             preds = np.array(
                 [classify(test.data[:, j], model, train) for j in range(test.n)], dtype=np.intp

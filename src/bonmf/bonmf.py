@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .init import init_h_real, init_w
+from .init import _start_of, init_h_real
 from .matrices import (
     EXPANSION_FLOOR,
     H_UPDATE_BLOCK_COLS,
@@ -284,16 +284,21 @@ def _stale_chunks(X, stale):
             yield cols, X[:, cols]
 
 
-def init_h(W, X, *, norms=None) -> BinaryAssignment:
+def init_h(W, X, *, norms=None, H0=None) -> BinaryAssignment:
     """Binarized least-squares start for H: each sample goes to its largest
     coefficient in the minimum-norm solution init_h_real(W, X), the lowest
     index on exact ties. Defined for every W, rank deficient ones included.
 
     The assignment carries its cluster statistics (see BinaryAssignment);
-    `norms` may hold column_norms(X) computed earlier.
+    `norms` may hold column_norms(X) and `H0` init_h_real(W, X) computed
+    earlier.
     """
-    labels = np.argmax(init_h_real(W, X), axis=0)
     k = np.shape(W)[1]
+    if H0 is None:
+        H0 = init_h_real(W, X)
+    elif np.shape(H0) != (k, np.shape(X)[1]):
+        raise ValueError(f"H0 has shape {np.shape(H0)}, expected {(k, np.shape(X)[1])}")
+    labels = np.argmax(H0, axis=0)
     return BinaryAssignment(labels, k, *cluster_sums(X, labels, k, norms))
 
 
@@ -327,15 +332,16 @@ def _objective(X, W, H) -> float:
 
 
 def factorize_bonmf(
-    X, k: int, opts: FactorizeOptions | None = None, on_iteration=None
+    X, k: int, opts: FactorizeOptions | None = None, on_iteration=None, *, start=None
 ) -> BonmfModel:
     """Alternating binary orthogonal factorization of X.
 
-    W starts from init_w's greedy spherical k-means++ seeds, drawn with
-    opts.seed as every factorizer in this package draws its own, and H
-    from init_h. Each iteration sets W to the cluster means, the
-    least-squares W for the current one-hot H, and then reassigns every
-    sample by cosine argmax.
+    The start is least_squares_start(X, k, opts.seed), or `start` when
+    given (that pair computed once for several factorizers; it is only
+    read): init_w's greedy spherical k-means++ seeds and the binarized
+    least-squares H of init_h. Each iteration sets W to the cluster means,
+    the least-squares W for the current one-hot H, and then reassigns
+    every sample by cosine argmax.
     Stops at max_iterations, or when assignments are unchanged between
     consecutive iterations and the relative objective change is below
     tolerance. `on_iteration(iteration, W, assignments)` is invoked after
@@ -349,9 +355,9 @@ def factorize_bonmf(
     norms = column_norms(X)
     trace = FactorizationTrace()
 
-    def start():
-        W = init_w(X, k, opts.seed, norms=norms)
-        return W, init_h(W, X, norms=norms)
+    def initial():
+        W, H0 = _start_of(X, k, opts.seed, start, norms=norms)
+        return W, init_h(W, X, norms=norms, H0=H0)
 
     def cosine_step(W, H):
         assign = update_h_cosine(X, W, norms=norms, previous=H)
@@ -359,7 +365,7 @@ def factorize_bonmf(
         return assign
 
     W, assign = _alternate(
-        X, start, cosine_step, opts, trace, on_iteration, stable_h=True,
+        X, initial, cosine_step, opts, trace, on_iteration, stable_h=True,
         w_step=lambda W, H: _cluster_means(H), objective=lambda W, H: _objective(X, W, H),
     )
     # the model keeps the labels only, not the statistics and bounds

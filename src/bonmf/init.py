@@ -4,6 +4,8 @@ W's columns are k columns of X chosen by spherical k-means++ seeding
 (Arthur and Vassilvitskii 2007) in its greedy form, which keeps the best
 of a few draws per seed; the real-valued H0 is the minimum-norm
 least-squares solution of W H = X with W fixed, defined for every W.
+least_squares_start gives the pair (W, H0); each factorizer maps H0 to
+its own start and accepts the pair computed once for several of them.
 """
 
 from __future__ import annotations
@@ -72,3 +74,24 @@ def init_h_real(W, X) -> np.ndarray:
     W = np.asarray(W, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     return np.linalg.pinv(W) @ X
+
+
+def least_squares_start(X, k: int, seed: int, *, norms=None) -> tuple[np.ndarray, np.ndarray]:
+    """The start every factorizer maps to its own: (W, H0) with
+    W = init_w(X, k, seed, norms=norms) and H0 = init_h_real(W, X)."""
+    W = init_w(X, k, seed, norms=norms)
+    return W, init_h_real(W, X)
+
+
+def _start_of(X, k: int, seed: int, start, *, norms=None) -> tuple[np.ndarray, np.ndarray]:
+    """`start`, a factorizer's (W, H0) argument, checked against X and k;
+    least_squares_start(X, k, seed, norms=norms) when it is None."""
+    if start is None:
+        return least_squares_start(X, k, seed, norms=norms)
+    W, H0 = start
+    m, n = np.shape(X)
+    if np.shape(W) != (m, k) or np.shape(H0) != (k, n):
+        raise ValueError(
+            f"start has W {np.shape(W)} and H0 {np.shape(H0)}, expected {(m, k)} and {(k, n)}"
+        )
+    return W, H0

@@ -107,11 +107,18 @@ class BinaryAssignment:
 
 
 def column_norms(X) -> np.ndarray:
-    """np.linalg.norm(X, axis=0), bit for bit, without its m x n temporary."""
+    """np.linalg.norm(X, axis=0), bit for bit, without its m x n temporary.
+
+    numpy sums a one-column block of a C-ordered X pairwise but a wider
+    block row by row, as it does the whole X, so when n > 1 a last block of
+    one column is taken with the block before it."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[1])
-    for start in range(0, X.shape[1], H_UPDATE_BLOCK_COLS):
+    n = X.shape[1]
+    out = np.empty(n)
+    for start in range(0, max(n - 1, 1), H_UPDATE_BLOCK_COLS):
         stop = start + H_UPDATE_BLOCK_COLS
+        if stop >= n - 1:
+            stop = n
         out[start:stop] = np.linalg.norm(X[:, start:stop], axis=0)
     return out
 
@@ -161,18 +168,30 @@ def _dense_sums(X, W, H, sums=None) -> np.ndarray:
     return sums
 
 
+def _row_gram(H, gram=None) -> np.ndarray:
+    """H @ H.T for a dense H, or `gram` (that product computed earlier)
+    once its shape is checked."""
+    if gram is None:
+        return H @ H.T
+    k = H.shape[0]
+    if np.shape(gram) != (k, k):
+        raise ValueError(f"gram has shape {np.shape(gram)}, expected {(k, k)}")
+    return gram
+
+
 def _squared_norm(X) -> float:
     """||X||_F^2 as frobenius_objective computes it."""
     x = X.ravel(order="K")  # no copy for C- or F-ordered X, unlike np.vdot
     return float(x @ x)
 
 
-def frobenius_objective(X, W, H, *, sums=None, sq_norm=None) -> float:
+def frobenius_objective(X, W, H, *, sums=None, gram=None, sq_norm=None) -> float:
     """0.5 * ||X - W H||_F^2 for a dense H, from the k-column statistics
     S = X H^T and the k x k Grams, with no m x n temporary:
         0.5 * (||X||^2 - 2 <S, W> + <W^T W, H H^T>),
-    where `sums` may hold S computed earlier (it is X @ H.T otherwise) and
-    `sq_norm` ||X||^2 computed earlier by _squared_norm(X).
+    where `sums` may hold S computed earlier (it is X @ H.T otherwise),
+    `gram` H @ H.T and `sq_norm` ||X||^2 computed earlier by
+    _squared_norm(X).
     Near an exact fit the expansion cancels, so below
     EXPANSION_FLOOR * ||X||^2 the residual X - W H is summed directly.
     """
@@ -181,7 +200,7 @@ def frobenius_objective(X, W, H, *, sums=None, sq_norm=None) -> float:
         raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape} @ H {H.shape}")
     S = _dense_sums(X, W, H, sums)
     total = _squared_norm(X) if sq_norm is None else sq_norm
-    value = total - 2.0 * float(np.vdot(S, W)) + float(np.vdot(W.T @ W, H @ H.T))
+    value = total - 2.0 * float(np.vdot(S, W)) + float(np.vdot(W.T @ W, _row_gram(H, gram)))
     if value >= EXPANSION_FLOOR * total:
         return 0.5 * value
     R = X - W @ H

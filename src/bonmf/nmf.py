@@ -12,9 +12,10 @@ produce NaN while zero entries stay locked at zero. bonmf passes the loop
 its own closed-form W step and objective instead.
 
 For a dense H an iteration makes two products with X: S = X H^T after the
-H step, shared by the objective and the next W update, and the H step's
-own W^T X (X^T W for the zhang sweep). The objective follows from S and
-the k x k Grams W^T W and H H^T, with no m x n residual.
+H step, shared by the objective and the next W update with the Gram
+H H^T, and the H step's own W^T X (X^T W for the zhang sweep). The
+objective follows from S and the k x k Grams W^T W and H H^T, with no
+m x n residual.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .init import init_h_real, init_w
-from .matrices import _dense_sums, _squared_norm, as_data_matrix, frobenius_objective
+from .init import _start_of
+from .matrices import _dense_sums, _row_gram, _squared_norm, as_data_matrix, frobenius_objective
 
 # added to every multiplicative-update denominator
 EPSILON_GUARD = 1e-10
@@ -61,11 +62,14 @@ class NmfModel:
     trace: FactorizationTrace
 
 
-def update_w(X, W, H, epsilon_guard: float = EPSILON_GUARD, *, sums=None) -> np.ndarray:
+def update_w(
+    X, W, H, epsilon_guard: float = EPSILON_GUARD, *, sums=None, gram=None
+) -> np.ndarray:
     """One multiplicative W update for a dense H. `sums` may hold X @ H.T
-    computed earlier; without it the update computes that product."""
+    and `gram` H @ H.T computed earlier; without them the update computes
+    those products."""
     X, W, H = _as_factors(X, W, H)
-    return W * _dense_sums(X, W, H, sums) / (W @ (H @ H.T) + epsilon_guard)
+    return W * _dense_sums(X, W, H, sums) / (W @ _row_gram(H, gram) + epsilon_guard)
 
 
 def _as_factors(X, W, H):
@@ -99,24 +103,24 @@ def _alternate(
 
     `w_step(W, H)` and `objective(W, H)` are given together or not at all.
     Without them H is dense: the W step is the multiplicative update_w, and
-    one X @ H.T per H feeds both frobenius_objective and the next W step;
-    ||X||^2 is computed once per call.
+    one X @ H.T and one H @ H.T per H feed both frobenius_objective and the
+    next W step; ||X||^2 is computed once per call.
     update_w, frobenius_objective and the H step are looked up at call time.
     """
     W, H = start()
-    sums = None  # X @ H.T of a dense H, taken with its objective
+    sums = gram = None  # X @ H.T and H @ H.T of a dense H, taken with its objective
     sq_norm = _squared_norm(X) if objective is None else None
     prev = None
     for it in range(opts.max_iterations):
-        W = update_w(X, W, H, sums=sums) if w_step is None else w_step(W, H)
+        W = update_w(X, W, H, sums=sums, gram=gram) if w_step is None else w_step(W, H)
         H_new = h_step(W, H)
         stable = not stable_h or np.array_equal(
             getattr(H_new, "labels", H_new), getattr(H, "labels", H)
         )
         H = H_new  # free the previous H before the objective runs
         if objective is None:
-            sums = X @ H.T
-            obj = frobenius_objective(X, W, H, sums=sums, sq_norm=sq_norm)
+            sums, gram = X @ H.T, H @ H.T
+            obj = frobenius_objective(X, W, H, sums=sums, gram=gram, sq_norm=sq_norm)
         else:
             obj = objective(W, H)
         trace.objective_per_iteration.append(obj)
@@ -128,12 +132,14 @@ def _alternate(
     return W, H
 
 
-def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
+def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None, *, start=None) -> NmfModel:
     """Alternating Lee-Seung factorization X ~ W H with both factors real.
 
-    Stops at max_iterations or when the relative objective change drops
-    below opts.tolerance. The objective is recorded once per outer
-    iteration, after both half-updates.
+    Starts from least_squares_start(X, k, opts.seed), or from `start` when
+    given (that pair computed once for several factorizers; it is only
+    read), with H0 clamped at 0. Stops at max_iterations or when the
+    relative objective change drops below opts.tolerance. The objective is
+    recorded once per outer iteration, after both half-updates.
     """
     opts = opts or FactorizeOptions()
     X = as_data_matrix(X)
@@ -147,9 +153,9 @@ def factorize_nmf(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
 
     trace = FactorizationTrace()
 
-    def start():
-        W = init_w(X, k, opts.seed)
-        return W, np.maximum(init_h_real(W, X), 0.0)
+    def initial():
+        W, H0 = _start_of(X, k, opts.seed, start)
+        return W, np.maximum(H0, 0.0)
 
-    W, H = _alternate(X, start, lambda W, H: update_h_dense(X, W, H), opts, trace)
+    W, H = _alternate(X, initial, lambda W, H: update_h_dense(X, W, H), opts, trace)
     return NmfModel(basis=W, coefficients=H, trace=trace)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .init import init_h_real, init_w
+from .init import _start_of
 from .matrices import as_data_matrix
 from .nmf import EPSILON_GUARD, FactorizationTrace, FactorizeOptions, _alternate, _as_factors
 
@@ -46,9 +46,11 @@ def update_h_orthogonal(X, W, H, epsilon_guard: float = EPSILON_GUARD) -> np.nda
     return H * np.sqrt(WtX / denom)
 
 
-def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel:
+def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None, *, start=None) -> OnmfModel:
     """Alternate the multiplicative W update with the orthogonality-
-    preserving H update; stopping rules as in the plain NMF factorizer."""
+    preserving H update. Starts as the plain NMF factorizer does, `start`
+    included, but with H0 floored at a small positive value; stopping
+    rules as there."""
     opts = opts or FactorizeOptions()
     X = as_data_matrix(X)
     if k < 1:
@@ -57,15 +59,14 @@ def factorize_onmf(X, k: int, opts: FactorizeOptions | None = None) -> OnmfModel
     trace = FactorizationTrace()
     residuals = []
 
-    def start():
-        W = init_w(X, k, opts.seed)
-        H0 = init_h_real(W, X)
+    def initial():
+        W, H0 = _start_of(X, k, opts.seed, start)
         # strictly positive start: the sqrt-ratio rule cannot revive zeros
         return W, np.maximum(H0, 1e-3 * max(np.abs(H0).max(), 1.0))
 
     W, H = _alternate(
         X,
-        start,
+        initial,
         lambda W, H: update_h_orthogonal(X, W, H),
         opts,
         trace,

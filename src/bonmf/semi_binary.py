@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .init import init_h_real, init_w
+from .init import _start_of
 from .matrices import as_data_matrix
 from .nmf import FactorizationTrace, FactorizeOptions, NmfModel, _alternate
 
@@ -53,15 +53,16 @@ def _sweep(X, W, H) -> np.ndarray:
     return H
 
 
-def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel:
+def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None, *, start=None) -> NmfModel:
     """Alternate the multiplicative W update with a full ascending row
     sweep of the sign rule.
 
     The sweep reads X once (one X^T W product) and updates the rows of one
     copy of H in place; it gives the H of k successive update_h_row calls.
-    H starts from the least-squares H0 thresholded at 1/2. Stops at
-    max_iterations or when H is unchanged and the relative objective
-    change is below tolerance.
+    H starts from the H0 of least_squares_start(X, k, opts.seed), or of
+    `start` when given (that pair computed once for several factorizers;
+    it is only read), thresholded at 1/2. Stops at max_iterations or when
+    H is unchanged and the relative objective change is below tolerance.
     """
     opts = opts or FactorizeOptions()
     X = as_data_matrix(X)
@@ -70,9 +71,9 @@ def factorize_zhang(X, k: int, opts: FactorizeOptions | None = None) -> NmfModel
 
     trace = FactorizationTrace()
 
-    def start():
-        W = init_w(X, k, opts.seed)
-        return W, (init_h_real(W, X) > 0.5).astype(np.float64)
+    def initial():
+        W, H0 = _start_of(X, k, opts.seed, start)
+        return W, (H0 > 0.5).astype(np.float64)
 
-    W, H = _alternate(X, start, lambda W, H: _sweep(X, W, H), opts, trace, stable_h=True)
+    W, H = _alternate(X, initial, lambda W, H: _sweep(X, W, H), opts, trace, stable_h=True)
     return NmfModel(basis=W, coefficients=H, trace=trace)

@@ -1,14 +1,12 @@
 import json
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
 import bonmf.bench
-import bonmf.bonmf
-import bonmf.nmf
-import bonmf.onmf
-import bonmf.semi_binary
+import bonmf.init
 from bonmf.bench import (
     ConfigError,
     ExperimentConfig,
@@ -90,20 +88,97 @@ def test_run_experiment_all_methods_complete():
         assert agg[method]["trials_ok"] + agg[method]["trials_failed"] == 2
 
 
-def test_every_factorizer_in_a_trial_starts_from_the_same_basis(monkeypatch):
-    starts = {}
-    for module in (bonmf.bonmf, bonmf.nmf, bonmf.onmf, bonmf.semi_binary):
-        def recording(*args, module=module, init=module.init_w, **kwargs):
-            W = init(*args, **kwargs)
-            starts[module.__name__] = W.copy()
-            return W
+ALL_METHODS = ("bonmf", "nmf", "onmf", "onmf-cos", "zhang")
+FACTORIZER = {"bonmf": "factorize_bonmf", "nmf": "factorize_nmf", "onmf": "factorize_onmf",
+              "onmf-cos": "factorize_onmf", "zhang": "factorize_zhang"}
 
-        monkeypatch.setattr(module, "init_w", recording)
+
+def record_starts(monkeypatch):
+    """Count every least_squares_start call, through bench or through a
+    factorizer, and record the start each factorizer bench calls is given;
+    returns (starts computed, {factorizer name: [start given, ...]})."""
+    computed, given = [], {}
+
+    def counting(*args, **kwargs):
+        start = original(*args, **kwargs)
+        computed.append(start)
+        return start
+
+    original = bonmf.init.least_squares_start
+    monkeypatch.setattr(bonmf.init, "least_squares_start", counting)
+    monkeypatch.setattr(bonmf.bench, "least_squares_start", counting)
+    for name in set(FACTORIZER.values()):
+        def recording(*args, name=name, fit=getattr(bonmf.bench, name), **kwargs):
+            given.setdefault(name, []).append(kwargs.get("start"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(bonmf.bench, name, recording)
+    return computed, given
+
+
+@pytest.mark.parametrize(
+    "methods",
+    [("bonmf",), ("nmf", "zhang"), ("onmf-cos", "onmf"), ALL_METHODS],
+    ids=["bonmf", "nmf-zhang", "onmf-pair", "all"],
+)
+def test_a_trial_computes_one_start_for_every_factorizer(monkeypatch, methods):
+    computed, given = record_starts(monkeypatch)
     ds = synth_dataset("noisy-blocks", 12, 60, 3, 0.1, seed=3)
-    run_experiment(blocks_cfg(methods=("bonmf", "nmf", "onmf", "zhang")), ds=ds)
-    assert len(starts) == 4
-    first = starts["bonmf.bonmf"]
-    assert all(W.tobytes() == first.tobytes() for W in starts.values())
+    report = run_experiment(blocks_cfg(methods=methods, trials=2), ds=ds)
+    assert not any(r["failed"] for r in report.records)
+    assert len(computed) == 2
+    assert set(given) == {FACTORIZER[method] for method in methods}
+    for starts in given.values():
+        assert [s is c for s, c in zip(starts, computed, strict=True)] == [True, True]
+
+
+def test_shared_start_is_read_only_and_left_unchanged(monkeypatch):
+    computed, _ = record_starts(monkeypatch)
+    ds = synth_dataset("noisy-blocks", 12, 60, 3, 0.1, seed=3)
+    cfg = blocks_cfg(methods=ALL_METHODS, trials=1)
+    report = run_experiment(cfg, ds=ds)
+    assert not any(r["failed"] for r in report.records)
+    (W, H0), = computed
+    for array in (W, H0):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    train, _ = bonmf.bench.train_test_split(ds, cfg.train_fraction, cfg.base_seed)
+    fresh_W, fresh_H0 = bonmf.init.least_squares_start(train.data, 3, cfg.base_seed)
+    assert W.tobytes() == fresh_W.tobytes() and H0.tobytes() == fresh_H0.tobytes()
+
+
+def test_training_time_includes_the_shared_start(monkeypatch):
+    original = bonmf.bench.least_squares_start
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bonmf.bench, "least_squares_start", slow)
+    ds = synth_dataset("blocks", 12, 60, 3, 0.0, seed=3)
+    report = run_experiment(blocks_cfg(methods=ALL_METHODS, trials=2), ds=ds)
+    assert len(report.records) == 10
+    assert all(not r["failed"] and r["tt"] >= 0.05 for r in report.records)
+
+
+def test_a_failed_start_fails_its_trial_only(monkeypatch):
+    original = bonmf.bench.least_squares_start
+
+    def failing_first(X, k, seed, **kwargs):
+        if seed == 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(X, k, seed, **kwargs)
+
+    monkeypatch.setattr(bonmf.bench, "least_squares_start", failing_first)
+    ds = synth_dataset("blocks", 12, 60, 3, 0.0, seed=3)
+    report = run_experiment(blocks_cfg(methods=ALL_METHODS, trials=2), ds=ds)
+    first = [r for r in report.records if r["trial"] == 0]
+    assert [r["method"] for r in first] == list(ALL_METHODS)
+    assert all(
+        r["failed"] and r["error"] == "LinAlgError: SVD did not converge" and r["tt"] is None
+        for r in first
+    )
+    assert all(not r["failed"] for r in report.records if r["trial"] == 1)
 
 
 def test_run_experiment_deterministic_modulo_timings():

@@ -133,6 +133,32 @@ def test_column_norms_bit_identical_to_linalg_norm(m, n, seed, fortran):
     assert column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes()
 
 
+@pytest.mark.parametrize("m, n", [(45, 1537), (57, 2561)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_norms_one_column_past_a_block(m, n, order):
+    # n = 1 mod 256: numpy sums a lone strided last column pairwise, the
+    # whole C-ordered X row by row; seed 1 gives differing bits for both
+    X = np.asarray(np.random.default_rng(1).random((m, n)), order=order)
+    assert column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 64),
+    st.integers(0, 6),
+    st.integers(-2, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_column_norms_near_block_multiples(m, blocks, offset, seed, fortran):
+    n = max(1, blocks * H_UPDATE_BLOCK_COLS + offset)
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+    if fortran:
+        X = np.asfortranarray(X)
+    assert column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes()
+
+
 def test_statistics_of_wrong_shape_rejected():
     X = np.ones((3, 4))
     W = np.ones((3, 2))

@@ -1,9 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bonmf import DegenerateModelError, factorize_bonmf
+from bonmf import (
+    DegenerateModelError,
+    FactorizeOptions,
+    factorize_bonmf,
+    factorize_nmf,
+    factorize_onmf,
+    factorize_zhang,
+    least_squares_start,
+)
 from bonmf.bench import synth_dataset
 from bonmf.init import init_h_real, init_w
 from bonmf.matrices import H_UPDATE_BLOCK_COLS
@@ -137,3 +147,65 @@ def test_init_h_real_singular():
         X = rng.random((m, 9))
         expected = np.linalg.lstsq(W, X, rcond=None)[0]
         assert np.allclose(init_h_real(W, X), expected, rtol=0, atol=1e-10)
+
+
+def test_least_squares_start_is_init_w_then_init_h_real():
+    X = np.random.default_rng(11).random((7, 40))
+    W, H0 = least_squares_start(X, 3, seed=4)
+    assert W.tobytes() == init_w(X, 3, 4).tobytes()
+    assert H0.tobytes() == init_h_real(W, X).tobytes()
+
+
+FACTORIZERS = (factorize_bonmf, factorize_nmf, factorize_onmf, factorize_zhang)
+
+
+def fitted(factorize, X, k, opts, **kwargs):
+    """Every output of one factorization as bytes, or the error it raised."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="rank k=", category=UserWarning)
+        try:
+            model = factorize(X, k, opts, **kwargs)
+        except DegenerateModelError as exc:
+            return repr(exc)
+    H = getattr(model, "coefficients", None)
+    return (
+        model.basis.tobytes(),
+        model.assignments.labels.tobytes() if H is None else H.tobytes(),
+        np.array(model.trace.objective_per_iteration).tobytes(),
+        np.array(getattr(model, "orthogonality_residual", [])).tobytes(),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 30),
+    st.integers(1, 11),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.booleans(),
+    st.sampled_from([0.0, 1e-4]),
+    st.integers(1, 8),
+)
+def test_given_start_changes_no_factorizer_output(
+    m, n, k, seed, zero_share, fortran, tolerance, iterations
+):
+    # k runs past m and n; zero_share 1.0 makes X all zero
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, n)) * (rng.random((m, n)) < 0.7)
+    X[:, rng.random(n) < zero_share] = 0.0
+    if fortran:
+        X = np.asfortranarray(X)
+    opts = FactorizeOptions(max_iterations=iterations, tolerance=tolerance, seed=seed % 1000)
+    start = least_squares_start(X, k, opts.seed)
+    for factorize in FACTORIZERS:
+        assert fitted(factorize, X, k, opts, start=start) == fitted(factorize, X, k, opts)
+
+
+@pytest.mark.parametrize("factorize", FACTORIZERS)
+def test_start_of_the_wrong_shape_rejected(factorize):
+    X = np.random.default_rng(12).random((5, 9))
+    W, H0 = least_squares_start(X, 3, 0)
+    for start in ((W[:, :2], H0), (W, H0[:, :8]), (W[:4], H0)):
+        with pytest.raises(ValueError, match="start has W"):
+            factorize(X, 3, FactorizeOptions(max_iterations=2), start=start)

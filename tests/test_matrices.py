@@ -139,9 +139,12 @@ def test_objective_dense_given_sums_is_bit_identical():
     for _ in range(50):
         X, W, H = random_dense_problem(rng)
         assert frobenius_objective(X, W, H, sums=X @ H.T) == frobenius_objective(X, W, H)
+        assert frobenius_objective(X, W, H, gram=H @ H.T) == frobenius_objective(X, W, H)
 
 
 def test_objective_sums_checked():
     X, W, H = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4))
     with pytest.raises(ValueError, match="sums have shape"):
         frobenius_objective(X, W, H, sums=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="gram has shape"):
+        frobenius_objective(X, W, H, gram=np.ones((3, 3)))

@@ -115,6 +115,8 @@ def test_update_w_given_sums_is_bit_identical():
         m, n, k = (int(v) for v in rng.integers(1, 30, size=3))
         X, W, H = rng.random((m, n)), rng.random((m, k)), rng.random((k, n))
         assert np.array_equal(update_w(X, W, H, sums=X @ H.T), update_w(X, W, H))
+        assert np.array_equal(update_w(X, W, H, gram=H @ H.T), update_w(X, W, H))
+        assert np.array_equal(update_w(X, W, H, sums=X @ H.T, gram=H @ H.T), update_w(X, W, H))
 
 
 def test_recorded_objective_is_bit_identical_to_a_fresh_one():
@@ -137,3 +139,5 @@ def test_update_w_sums_checked():
     X, W, H = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4))
     with pytest.raises(ValueError, match="sums have shape"):
         update_w(X, W, H, sums=np.ones((3, 4)))
+    with pytest.raises(ValueError, match="gram has shape"):
+        update_w(X, W, H, gram=np.ones((2, 4)))
